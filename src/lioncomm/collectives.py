@@ -257,7 +257,8 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     policy), split into P chunks, and the i-th chunk of every rank lands
     at rank i packed to 1 bit.  Rank i sums the P sign chunks, takes the
     majority sign (ties again resolved by the policy), and an allgather
-    of the recompressed chunks gives every rank the full +-1 vote.
+    of the recompressed chunks gives every rank the full +-1 vote, as
+    int8.
     """
     x = np.asarray(c_i, dtype=np.float64).ravel()
     s = apply_sign(x, policy)
@@ -267,7 +268,7 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     p = topo.world_size
     n = s.size
     chunk = -(-n // p)
-    padded = np.ones(chunk * p, dtype=np.int64)  # pad with +1: never a tie
+    padded = np.ones(chunk * p, dtype=np.int8)  # pad with +1: never a tie
     padded[:n] = s
 
     gen = topo.next_generation()
@@ -285,7 +286,9 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
             received[j] = unpack(PackedBits.from_bytes(
                 topo.recv(j, TAG_ALLTOALL, gen)))
 
-    chunk_sum = np.sum(np.stack(received), axis=0)
+    # A sum of P signs fits int8 up to P = 127.
+    chunk_sum = np.sum(np.stack(received), axis=0,
+                       dtype=np.int8 if p <= 127 else np.int32)
     local_ties = int(np.count_nonzero(chunk_sum == 0))
     voted = apply_sign(chunk_sum, policy)
     if np.any(voted == 0):

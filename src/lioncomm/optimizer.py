@@ -222,21 +222,9 @@ def signsgd_majority_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
     eta = h.lr_at(t)
     policy = SignPolicy(mode=zero_mode, iteration=t)
     new_params: ParamSet = {}
+    spec = QuantSpec(bits=1)
     for name in sorted(state.params):
-        g = grad_i[name]
-        if algo == "compressed1bit":
-            vote = coll.compressed_allreduce_1bit(g, topo, policy)
-            majority = vote.values
-        else:
-            s = apply_sign(g, policy)
-            if algo in ("ps", "ps_efficient"):
-                vote = coll.ps_gather_broadcast(s, topo,
-                                                efficient=algo == "ps_efficient")
-            elif algo == "direct":
-                vote = coll.direct_allreduce(s, topo, q_max=1, binary_signs=True)
-            else:
-                raise ConfigError(f"unknown vote algorithm {algo!r}")
-            majority = coll.majority_sign(vote, policy)
+        majority, _ = _vote(grad_i[name], spec, topo, algo, policy, None)
         new_params[name] = state.params[name] - eta * majority
     return WorkerState(params=new_params, momentum=state.momentum, iteration=t)
 

@@ -5,6 +5,11 @@ instead of scaling by the max-norm (which a single outlier can blow up),
 values are scaled by the mean p-norm, so heavy-tailed inputs keep most of
 their resolution.  ``pack``/``unpack`` turn small-integer vectors into
 dense byte payloads for the wire.
+
+The sign path stays in narrow dtypes: ``apply_sign`` returns int8, and
+``unpack`` of a sign map returns int8.  Width-1 fields are packed with
+``np.packbits(..., bitorder="little")``, widths 2 and 4 with uint8 shifts;
+the payload bytes are the same as element-0-in-the-low-bits packing.
 """
 
 from __future__ import annotations
@@ -196,12 +201,22 @@ def dequantize(q: np.ndarray, spec: QuantSpec, norm: float,
 
 
 def apply_sign(x: np.ndarray, policy: SignPolicy) -> np.ndarray:
-    """Elementwise sign with zeros resolved by the policy."""
+    """Elementwise sign as int8 in {-1, 0, +1}, zeros resolved by the policy.
+
+    Both -0.0 and +0.0 count as zero.  A NaN has no sign, so any NaN in a
+    floating-point input raises ``ConfigError``.
+    """
     x = np.asarray(x)
-    s = np.sign(x).astype(np.int64)
+    if x.dtype.kind == "f":
+        nans = int(np.count_nonzero(np.isnan(x)))
+        if nans:
+            raise ConfigError(f"cannot take the sign of {nans} NaN entries")
     if policy.mode == "alternating":
-        s = np.where(x == 0, policy.zero_fill(), s)
-    return s
+        # Zeros take the fill sign, so one comparison decides every entry.
+        if policy.zero_fill() > 0:
+            return 1 - 2 * (x < 0).view(np.int8)
+        return 2 * (x > 0).view(np.int8) - 1
+    return (x > 0).view(np.int8) - (x < 0).view(np.int8)
 
 
 @dataclass(frozen=True)
@@ -255,46 +270,55 @@ def _is_sign_map(width: int, offset: int) -> bool:
 def pack(values: np.ndarray, width: int, offset: int = 0) -> PackedBits:
     """Pack integers into ``width``-bit fields, low bits first within a byte."""
     _check_width(width)
-    values = np.asarray(values, dtype=np.int64)
-    if values.ndim != 1:
-        values = values.ravel()
+    values = np.asarray(values).ravel()
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.int64)
     if _is_sign_map(width, offset):
-        bad = np.flatnonzero(np.abs(values) != 1)
-        if bad.size:
-            i = int(bad[0])
-            raise PackRangeError(i, int(values[i]), width)
-        stored = (values + 1) >> 1
+        bad = np.abs(values) != 1
+        stored = values > 0
     else:
-        stored = values + offset
-        bad = np.flatnonzero((stored < 0) | (stored > (1 << width) - 1))
-        if bad.size:
-            i = int(bad[0])
-            raise PackRangeError(i, int(values[i]), width)
-    per_byte = 8 // width
-    count = stored.size
-    padded = np.zeros(_payload_len(count, width) * per_byte, dtype=np.uint8)
-    padded[:count] = stored.astype(np.uint8)
-    lanes = padded.reshape(-1, per_byte)
-    shifts = (np.arange(per_byte, dtype=np.uint32) * width).astype(np.uint32)
-    packed = (lanes.astype(np.uint32) << shifts).sum(axis=1).astype(np.uint8)
+        stored = values.astype(np.int64) + offset
+        bad = (stored < 0) | (stored > (1 << width) - 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PackRangeError(i, int(values[i]), width)
+    count = values.size
+    if width == 1:
+        packed = np.packbits(stored, bitorder="little")
+    elif width == 8:
+        packed = stored.astype(np.uint8)
+    else:
+        per_byte = 8 // width
+        lanes = np.zeros(_payload_len(count, width) * per_byte, dtype=np.uint8)
+        lanes[:count] = stored
+        shifts = np.arange(0, 8, width, dtype=np.uint8)
+        packed = np.bitwise_or.reduce(lanes.reshape(-1, per_byte) << shifts, axis=1)
     return PackedBits(width=width, count=count, offset=offset,
                       payload=packed.tobytes())
 
 
 def unpack(packed: PackedBits) -> np.ndarray:
-    """Exact inverse of ``pack``, offset removal included."""
-    _check_width(packed.width)
-    expected = _payload_len(packed.count, packed.width)
+    """Exact inverse of ``pack``, offset removal included.
+
+    The sign map comes back as int8 in {-1, +1}; every other payload as
+    int64.
+    """
+    width = packed.width
+    _check_width(width)
+    expected = _payload_len(packed.count, width)
     if len(packed.payload) != expected:
         raise PackFormatError(
             f"payload is {len(packed.payload)} bytes, expected {expected}"
         )
     raw = np.frombuffer(packed.payload, dtype=np.uint8)
-    per_byte = 8 // packed.width
-    shifts = (np.arange(per_byte, dtype=np.uint32) * packed.width).astype(np.uint32)
-    mask = (1 << packed.width) - 1
-    fields = ((raw[:, None].astype(np.uint32) >> shifts) & mask).ravel()
-    stored = fields[: packed.count].astype(np.int64)
-    if _is_sign_map(packed.width, packed.offset):
-        return stored * 2 - 1
-    return stored - packed.offset
+    if width == 1:
+        stored = np.unpackbits(raw, count=packed.count, bitorder="little")
+        if _is_sign_map(width, packed.offset):
+            return 2 * stored.view(np.int8) - 1
+    elif width == 8:
+        stored = raw
+    else:
+        shifts = np.arange(0, 8, width, dtype=np.uint8)
+        fields = (raw[:, None] >> shifts) & np.uint8((1 << width) - 1)
+        stored = fields.ravel()[: packed.count]
+    return stored.astype(np.int64) - packed.offset

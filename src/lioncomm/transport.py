@@ -84,7 +84,6 @@ class SocketTransport(Transport):
         self.rank = rank
         self._socks: dict[int, socket.socket] = {}
         self._lock = threading.Lock()
-        self._bufs: dict[int, list] = {p: [] for p in range(world_size) if p != rank}
 
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -139,25 +138,18 @@ class SocketTransport(Transport):
 
     def recv(self, dst, src, generation, tag, timeout):
         assert dst == self.rank
-        # Frames from one peer arrive in order; buffer any that were read
-        # ahead of the one being waited on (should not happen in lockstep,
-        # kept for safety).
-        buf = self._bufs[src]
-        if buf:
-            got_gen, got_tag, payload = buf.pop(0)
-        else:
-            sock = self._socks[src]
-            sock.settimeout(timeout)
-            try:
-                hdr = self._recv_exact(sock, FRAME_HEADER.size)
-            except socket.timeout:
-                raise CollectiveError("timed out waiting for peer", rank=src,
-                                      generation=generation,
-                                      phase=f"tag {tag}") from None
-            got_gen, got_src, got_tag, length = FRAME_HEADER.unpack(hdr)
-            if got_src != src:
-                raise CollectiveError("frame source mismatch", rank=src)
-            payload = self._recv_exact(sock, length) if length else b""
+        sock = self._socks[src]
+        sock.settimeout(timeout)
+        try:
+            hdr = self._recv_exact(sock, FRAME_HEADER.size)
+        except socket.timeout:
+            raise CollectiveError("timed out waiting for peer", rank=src,
+                                  generation=generation,
+                                  phase=f"tag {tag}") from None
+        got_gen, got_src, got_tag, length = FRAME_HEADER.unpack(hdr)
+        if got_src != src:
+            raise CollectiveError("frame source mismatch", rank=src)
+        payload = self._recv_exact(sock, length) if length else b""
         if (got_gen, got_tag) != (generation, tag):
             raise CollectiveError(
                 f"message mismatch: expected gen={generation} tag={tag}, "

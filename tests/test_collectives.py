@@ -7,7 +7,7 @@ from lioncomm.collectives import (Topology, VoteResult, allgather_f64,
                                   majority_sign, ps_gather_broadcast,
                                   run_ranks)
 from lioncomm.errors import CapacityError, CollectiveError, ConfigError
-from lioncomm.quant import SignPolicy
+from lioncomm.quant import SignPolicy, apply_sign
 from lioncomm.transport import InprocTransport, SocketTransport
 
 
@@ -169,6 +169,35 @@ class TestCompressed1Bit:
 
         for r in run_vote(2, fn):
             assert r.tolist() == [-1, -1]
+
+
+class TestCompressedMatchesPsSignVote:
+    """The 1-bit vote equals the int64 ``ps`` sign vote and a numpy oracle."""
+
+    @pytest.mark.parametrize("world", [1, 2, 3, 5])
+    @pytest.mark.parametrize("iteration", [1, 2])
+    def test_values_and_ties(self, world, iteration):
+        n = 7 * world + 3 if world > 1 else 11  # not divisible by P > 1
+        rng = np.random.default_rng(100 * world + iteration)
+        # Few distinct levels, exact zeros included, so ties occur.
+        cs = [rng.integers(-2, 3, size=n).astype(np.float64)
+              for _ in range(world)]
+        policy = SignPolicy("alternating", iteration=iteration)
+        fill = 1 if iteration % 2 else -1
+        signs = [np.where(c == 0, fill, np.sign(c)) for c in cs]
+        agg = np.sum(signs, axis=0)
+        expect = np.where(agg == 0, fill, np.sign(agg))
+
+        def fn(topo):
+            one_bit = compressed_allreduce_1bit(cs[topo.rank], topo, policy)
+            ps = ps_gather_broadcast(apply_sign(cs[topo.rank], policy), topo)
+            return one_bit, majority_sign(ps, policy), ps.ties
+
+        for one_bit, ps_sign, ps_ties in run_vote(world, fn):
+            assert one_bit.values.dtype == np.int8
+            assert np.array_equal(one_bit.values, expect)
+            assert np.array_equal(one_bit.values, ps_sign)
+            assert one_bit.ties == ps_ties == int(np.count_nonzero(agg == 0))
 
 
 class TestTieStatistics:

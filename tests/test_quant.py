@@ -160,6 +160,72 @@ class TestApplySign:
         assert np.array_equal(a != b, x == 0)
 
 
+class TestApplySignOracle:
+    """``apply_sign`` against a plain ``np.sign`` + ``np.where`` oracle."""
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False),
+                              st.sampled_from([0.0, -0.0])),
+                    min_size=1, max_size=200),
+           st.sampled_from(["exact-ternary", "alternating"]),
+           st.integers(0, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_oracle(self, vals, mode, iteration):
+        x = np.array(vals, dtype=np.float64)
+        expect = np.sign(x)
+        if mode == "alternating":
+            expect = np.where(x == 0, 1 if iteration % 2 else -1, expect)
+        got = apply_sign(x, SignPolicy(mode, iteration))
+        assert got.dtype == np.int8
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("mode", ["exact-ternary", "alternating"])
+    def test_nan_raises_with_count(self, mode):
+        x = np.array([1.0, np.nan, 0.0, np.nan, -2.0, np.nan])
+        with pytest.raises(ConfigError, match="3 NaN"):
+            apply_sign(x, SignPolicy(mode, 1))
+
+
+def _shift_sum_pack(values, width, offset=0):
+    """The original uint32 shift-and-sum encoder, kept as a payload oracle."""
+    values = np.asarray(values, dtype=np.int64)
+    if width == 1 and offset == 1:
+        stored = (values + 1) >> 1
+    else:
+        stored = values + offset
+    per_byte = 8 // width
+    count = stored.size
+    padded = np.zeros((count * width + 7) // 8 * per_byte, dtype=np.uint8)
+    padded[:count] = stored.astype(np.uint8)
+    lanes = padded.reshape(-1, per_byte)
+    shifts = (np.arange(per_byte, dtype=np.uint32) * width).astype(np.uint32)
+    return (lanes.astype(np.uint32) << shifts).sum(axis=1).astype(np.uint8).tobytes()
+
+
+class TestPackOracle:
+    """Payloads equal the original encoder's, byte for byte."""
+
+    @pytest.mark.parametrize("width,offset", [(1, 0), (1, 1), (2, 0), (2, 1),
+                                              (4, 0), (4, 7)])
+    def test_payload_matches_shift_sum_encoder(self, width, offset):
+        rng = np.random.default_rng(width * 10 + offset)
+        for n in range(1, 201):
+            if (width, offset) == (1, 1):
+                v = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+            else:
+                v = rng.integers(-offset, (1 << width) - offset, size=n)
+            pb = pack(v, width, offset)
+            assert pb.payload == _shift_sum_pack(v, width, offset), n
+            assert np.array_equal(unpack(pb), v), n
+
+    def test_sign_map_unpacks_to_int8(self):
+        assert unpack(pack(np.array([1, -1, -1]), 1, 1)).dtype == np.int8
+
+    def test_sign_map_rejects_non_signs(self):
+        with pytest.raises(PackRangeError) as e:
+            pack(np.array([1, -1, 0, 1], dtype=np.int8), 1, 1)
+        assert e.value.index == 2 and e.value.value == 0
+
+
 class TestPackUnpack:
     def test_nibbles_low_first(self):
         assert pack(np.array([3, 12]), 4).payload == b"\xc3"

@@ -186,7 +186,6 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
     runs before any communication.  ``q_max`` must be the declared range
     of the quantizer, identical at every rank.
     """
-    q = _to_i64(q_i)
     p = topo.world_size
     max_stored = 1 if binary_signs else 2 * q_max
     if lane_bits is None:
@@ -199,11 +198,14 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
             f"{lane_bits}-bit lane")
 
     if binary_signs:
-        if np.any(np.abs(q) != 1):
+        # Checked and mapped in the input dtype: int8 signs are never widened.
+        q = np.asarray(q_i).ravel()
+        if np.any((q != 1) & (q != -1)):
             raise ConfigError("binary_signs requires values in {-1, +1}")
-        stored = (q + 1) >> 1
+        stored = q > 0
         offset = 0
     else:
+        q = _to_i64(q_i)
         if np.any(np.abs(q) > q_max):
             raise ConfigError(f"values exceed declared q_max={q_max}")
         stored = q + q_max
@@ -213,7 +215,7 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
     n = stored.size
     chunk = -(-n // p)  # ceil
     padded = np.zeros(chunk * p, dtype=dtype)
-    padded[:n] = stored.astype(dtype)
+    padded[:n] = stored
     chunks = [padded[i * chunk:(i + 1) * chunk].copy() for i in range(p)]
 
     gen = topo.next_generation()

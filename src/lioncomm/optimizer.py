@@ -134,39 +134,53 @@ def lion_step(state: WorkerState, grad: ParamSet, h: LionHyper) -> WorkerState:
 VOTE_ALGOS = ("ps", "ps_efficient", "direct", "compressed1bit")
 
 
-def _vote(c: np.ndarray, spec: QuantSpec | None, topo: Topology, algo: str,
-          policy: SignPolicy, rng: np.random.Generator | None,
-          timing: dict | None = None) -> tuple[np.ndarray, VoteResult]:
-    """Quantize one layer's update and aggregate it; returns (sign, vote)."""
+def _fuse(parts: list[np.ndarray]) -> np.ndarray:
+    """One flat bucket of the layers in order; a single layer passes uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _split(bucket: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-layer views of a bucket, at the offsets ``_fuse`` laid out."""
+    bounds = np.cumsum([0] + [p.size for p in parts])
+    return [bucket[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _vote(cs: list[np.ndarray], spec: QuantSpec | None, topo: Topology,
+          algo: str, policy: SignPolicy, rng: np.random.Generator | None,
+          timing: dict | None = None) -> tuple[list[np.ndarray], VoteResult]:
+    """Quantize each layer's update on its own scale and aggregate them all
+    in one collective; returns (per-layer signs, vote over the bucket)."""
     t0 = time.perf_counter()
-    if algo == "compressed1bit":
-        vote = coll.compressed_allreduce_1bit(c, topo, policy)
-        if timing is not None:
-            timing["t_comm"] = timing.get("t_comm", 0.0) + time.perf_counter() - t0
-        return vote.values, vote
-    if spec is None:
-        q = c  # identity: full-precision sum (ps path only)
-        if algo == "direct":
-            raise ConfigError("direct allreduce needs an integer QuantSpec")
+    if spec is None and algo == "direct":
+        raise ConfigError("direct allreduce needs an integer QuantSpec")
+    if algo == "compressed1bit" or spec is None:
+        q = cs  # the 1-bit collective takes signs itself; None sums c as is
     elif spec.bits == 1:
-        q = apply_sign(c, policy)
+        q = [apply_sign(c, policy) for c in cs]
     else:
-        q = quantize(c, spec, rng=rng)
+        q = [quantize(c, spec, rng=rng) for c in cs]
+    bucket = _fuse(q)
     t1 = time.perf_counter()
-    if algo in ("ps", "ps_efficient"):
-        vote = coll.ps_gather_broadcast(q, topo, efficient=algo == "ps_efficient")
+    if algo == "compressed1bit":
+        vote = coll.compressed_allreduce_1bit(bucket, topo, policy)
+    elif algo in ("ps", "ps_efficient"):
+        vote = coll.ps_gather_broadcast(bucket, topo,
+                                        efficient=algo == "ps_efficient")
     elif algo == "direct":
         binary = spec.bits == 1
-        vote = coll.direct_allreduce(q, topo, q_max=spec.qmax if not binary else 1,
+        vote = coll.direct_allreduce(bucket, topo,
+                                     q_max=spec.qmax if not binary else 1,
                                      binary_signs=binary)
     else:
         raise ConfigError(f"unknown vote algorithm {algo!r}")
-    sign = coll.majority_sign(vote, policy)
+    # The 1-bit vote already is the majority sign.
+    sign = (vote.values if algo == "compressed1bit"
+            else coll.majority_sign(vote, policy))
     if timing is not None:
         t2 = time.perf_counter()
         timing["t_quant"] = timing.get("t_quant", 0.0) + (t1 - t0)
         timing["t_comm"] = timing.get("t_comm", 0.0) + (t2 - t1)
-    return sign, vote
+    return _split(sign, cs), vote
 
 
 def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
@@ -177,36 +191,41 @@ def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
                           metrics_out: dict | None = None) -> WorkerState:
     """One distributed Lion step (majority vote over quantized updates).
 
-    Per layer: c_i = beta1*m + (1-beta1)*g_i is quantized per ``spec``
-    (None = full precision, bits=1 = sign) and aggregated via ``algo``;
-    every rank applies sign(c*), with zero aggregates resolved by
-    ``zero_mode`` at the parity of the new iteration.  Momentum is updated
-    from the local gradient only and never communicated here.
+    Per layer: c_i = beta1*m + (1-beta1)*g_i, masked, then quantized per
+    ``spec`` (None = full precision, bits=1 = sign) with the layer's own
+    scale.  The layers are quantized in sorted-name order, so stochastic
+    rounding draws from ``rng`` in that order, and concatenated into one
+    bucket that a single ``algo`` collective aggregates: one collective per
+    step, whatever the number of layers.  Every rank applies sign(c*), with
+    zero aggregates resolved by ``zero_mode`` at the parity of the new
+    iteration.  Momentum is updated from the local gradient only and never
+    communicated here.
 
-    ``metrics_out``, when given, receives per-layer "ties", "vote_sign",
-    and "c_local" entries for analysis.
+    ``metrics_out``, when given, receives per-layer "vote_sign" and
+    "c_local" entries and "ties", the step's total tie count.
     """
     _check_shapes(state.params, grad_i)
     t = state.iteration + 1
     eta = h.lr_at(t)
     policy = SignPolicy(mode=zero_mode, iteration=t)
-    new_params: ParamSet = {}
-    new_mom: ParamSet = {}
-    for name in sorted(state.params):
-        theta = state.params[name]
-        g = grad_i[name]
-        m = state.momentum[name]
-        c = h.beta1 * m + (1.0 - h.beta1) * g
+    names = sorted(state.params)
+    cs = []
+    for name in names:
+        c = h.beta1 * state.momentum[name] + (1.0 - h.beta1) * grad_i[name]
         if mask is not None and name in mask:
             c = np.where(mask[name], c, 0.0)
-        update_sign, vote = _vote(c, spec, topo, algo, policy, rng,
-                                   timing=metrics_out)
+        cs.append(c)
+    signs, vote = _vote(cs, spec, topo, algo, policy, rng, timing=metrics_out)
+    new_params: ParamSet = {}
+    new_mom: ParamSet = {}
+    for name, update_sign in zip(names, signs):
+        theta, m = state.params[name], state.momentum[name]
         new_params[name] = theta - eta * (update_sign + h.weight_decay * theta)
-        new_mom[name] = h.beta2 * m + (1.0 - h.beta2) * g
-        if metrics_out is not None:
-            metrics_out.setdefault("ties", {})[name] = vote.ties
-            metrics_out.setdefault("vote_sign", {})[name] = update_sign
-            metrics_out.setdefault("c_local", {})[name] = c
+        new_mom[name] = h.beta2 * m + (1.0 - h.beta2) * grad_i[name]
+    if metrics_out is not None:
+        metrics_out["ties"] = vote.ties
+        metrics_out["vote_sign"] = dict(zip(names, signs))
+        metrics_out["c_local"] = dict(zip(names, cs))
     return WorkerState(params=new_params, momentum=new_mom, iteration=t)
 
 
@@ -215,17 +234,16 @@ def signsgd_majority_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
                           zero_mode: str = "alternating") -> WorkerState:
     """signSGD with majority vote: theta -= lr * sign(sum_i sign(g_i)).
 
-    No momentum state is touched.
+    All layers share one bucketed vote.  No momentum state is touched.
     """
     _check_shapes(state.params, grad_i)
     t = state.iteration + 1
     eta = h.lr_at(t)
     policy = SignPolicy(mode=zero_mode, iteration=t)
-    new_params: ParamSet = {}
-    spec = QuantSpec(bits=1)
-    for name in sorted(state.params):
-        majority, _ = _vote(grad_i[name], spec, topo, algo, policy, None)
-        new_params[name] = state.params[name] - eta * majority
+    names = sorted(state.params)
+    majority, _ = _vote([grad_i[n] for n in names], QuantSpec(bits=1), topo,
+                        algo, policy, None)
+    new_params = {n: state.params[n] - eta * s for n, s in zip(names, majority)}
     return WorkerState(params=new_params, momentum=state.momentum, iteration=t)
 
 
@@ -233,26 +251,33 @@ def maybe_sync_momentum(state: WorkerState, policy: SyncPolicy,
                         topo: Topology) -> WorkerState:
     """Average momentum across workers for selected layers at firing steps.
 
-    A no-op (no communication at all) when the policy does not fire at the
-    current iteration, so every rank must agree on the iteration count.
+    The selected layers share one ``allreduce_mean_f32``.  A no-op (no
+    communication at all) when the policy does not fire at the current
+    iteration or selects no layer, so every rank must agree on the
+    iteration count.
     """
     if not policy.fires(state.iteration):
         return state
+    names = [n for n in sorted(state.momentum) if policy.selects(n)]
+    if not names:
+        return state
+    moms = [state.momentum[n] for n in names]
+    mean = coll.allreduce_mean_f32(_fuse(moms), topo).astype(np.float64)
     new_mom = dict(state.momentum)
-    for name in sorted(state.momentum):
-        if policy.selects(name):
-            mean = coll.allreduce_mean_f32(state.momentum[name], topo)
-            new_mom[name] = mean.astype(np.float64)
+    new_mom.update(zip(names, _split(mean, moms)))
     return replace(state, momentum=new_mom)
 
 
 def momentum_divergence(state: WorkerState, topo: Topology) -> dict[str, float]:
-    """Max-over-elements population std of momentum across workers, per layer."""
-    out: dict[str, float] = {}
-    for name in sorted(state.momentum):
-        stacked = np.stack(coll.allgather_f64(state.momentum[name], topo))
-        out[name] = float(stacked.std(axis=0, ddof=0).max()) if stacked.size else 0.0
-    return out
+    """Max-over-elements population std of momentum across workers, per layer.
+
+    All layers share one ``allgather_f64``.
+    """
+    names = sorted(state.momentum)
+    moms = [state.momentum[n] for n in names]
+    std = np.stack(coll.allgather_f64(_fuse(moms), topo)).std(axis=0, ddof=0)
+    return {n: float(s.max()) if s.size else 0.0
+            for n, s in zip(names, _split(std, moms))}
 
 
 def divergence_from_momenta(momenta: list[ParamSet]) -> dict[str, float]:

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import collectives as coll
 from .collectives import Topology, run_ranks
-from .errors import ConfigError
-from .optimizer import (LionHyper, SyncPolicy, WorkerState,
-                        distributed_lion_step, maybe_sync_momentum,
-                        momentum_divergence)
+from .errors import CollectiveError, ConfigError
+from .optimizer import (VOTE_ALGOS, LionHyper, SyncPolicy, WorkerState,
+                        distributed_lion_step, hash_params,
+                        maybe_sync_momentum, momentum_divergence)
 from .quant import INF, QuantSpec, SignPolicy, apply_sign, quantize
 from .transport import SocketTransport
 from .workloads import (MlpModel, NoiseSpec, init_mlp, noisy_client_grads,
@@ -80,7 +80,7 @@ class RunConfig:
                               lr=tr["lr"], weight_decay=tr["weight_decay"])
             quant = parse_quant(cfg["quant"])
             algo = cfg["algo"]
-            if algo not in ("ps", "ps_efficient", "direct", "compressed1bit"):
+            if algo not in VOTE_ALGOS:
                 raise ConfigError(f"unknown algo {algo!r}")
             sync_layers = cfg["sync"]["layers"]
             if isinstance(sync_layers, list):
@@ -167,29 +167,28 @@ def train_worker(topo: Topology, cfg: RunConfig) -> dict:
         phase["communicate"].append(info.get("t_comm", 0.0))
 
         if t % cfg.metrics_every == 0 or t == cfg.steps:
-            # Full-precision reference aggregate (metrics only).
-            match = flip = counted = 0
-            for name in layers:
-                ref = np.sign(coll.allreduce_mean_f32(info["c_local"][name], topo))
-                vs = info["vote_sign"][name]
-                match += int(np.count_nonzero((vs == ref) & (vs != 0)))
-                flip += int(np.count_nonzero((vs == -ref) & (vs != 0) & (ref != 0)))
-                counted += vs.size
+            # Full-precision reference aggregate (metrics only), all layers
+            # in one collective.
+            c_all = np.concatenate([info["c_local"][n] for n in layers])
+            ref = np.sign(coll.allreduce_mean_f32(c_all, topo))
+            vs = np.concatenate([info["vote_sign"][n] for n in layers])
+            match = int(np.count_nonzero((vs == ref) & (vs != 0)))
+            flip = int(np.count_nonzero((vs == -ref) & (vs != 0) & (ref != 0)))
             div = momentum_divergence(state, topo)
             row = {"step": t, "loss": loss,
-                   "tie_rate": sum(info["ties"].values()) / n_total,
-                   "sign_match": match / counted,
-                   "flip_rate": flip / counted}
+                   "tie_rate": info["ties"] / n_total,
+                   "sign_match": match / vs.size,
+                   "flip_rate": flip / vs.size}
             for name in sorted(div):
                 row[f"div_{name}"] = div[name]
             rows.append(row)
 
-    return {"rows": rows, "phase": phase, "final_params_hash": None,
-            "state": state}
+    return {"rows": rows, "phase": phase,
+            "final_params_hash": hash_params(state.params), "state": state}
 
 
 def build_report(cfg: RunConfig, rows: list[dict], phase: dict,
-                 world_size: int, transport: str) -> dict:
+                 world_size: int, transport: str, params_hash: str) -> dict:
     summary = {
         "final_loss": rows[-1]["loss"] if rows else None,
         "mean_tie_rate": float(np.mean([r["tie_rate"] for r in rows])) if rows else None,
@@ -205,6 +204,7 @@ def build_report(cfg: RunConfig, rows: list[dict], phase: dict,
         "config": cfg.raw,
         "summary": summary,
         "environment": {"world_size": world_size, "transport": transport},
+        "final_params_hash": params_hash,
     }
 
 
@@ -219,7 +219,8 @@ def write_outputs(out_dir: str, cfg: RunConfig, result: dict,
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    report = build_report(cfg, rows, result["phase"], world_size, transport)
+    report = build_report(cfg, rows, result["phase"], world_size, transport,
+                          result["final_params_hash"])
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(report, f, indent=2)
     return report
@@ -230,7 +231,8 @@ def run_training(cfg: RunConfig, out_dir: str | None = None,
     """Run the configured training on P in-process workers.
 
     Returns rank 0's result dict; writes metrics.csv/report.json when
-    ``out_dir`` is given.
+    ``out_dir`` is given.  Raises ``CollectiveError`` if the ranks end
+    with different parameters.
     """
     world = cfg.clients
     if transport == "inproc":
@@ -242,6 +244,10 @@ def run_training(cfg: RunConfig, out_dir: str | None = None,
                 world, rank, base_port=base_port))
     else:
         raise ConfigError(f"unknown transport {transport!r}")
+    for rank, r in enumerate(results):
+        if r["final_params_hash"] != results[0]["final_params_hash"]:
+            raise CollectiveError("parameters differ from rank 0's at the end "
+                                  "of training", rank=rank, phase="final hash")
     result = results[0]
     if out_dir is not None:
         write_outputs(out_dir, cfg, result, world, transport)

@@ -134,22 +134,31 @@ class SocketTransport(Transport):
         assert src == self.rank
         frame = FRAME_HEADER.pack(generation, src, tag, len(payload)) + payload
         with self._lock:
-            self._socks[dst].sendall(frame)
+            try:
+                self._socks[dst].sendall(frame)
+            except OSError as exc:
+                raise CollectiveError(f"send to peer failed: {exc}", rank=dst,
+                                      generation=generation,
+                                      phase=f"tag {tag}") from exc
 
     def recv(self, dst, src, generation, tag, timeout):
         assert dst == self.rank
         sock = self._socks[src]
-        sock.settimeout(timeout)
         try:
+            sock.settimeout(timeout)
             hdr = self._recv_exact(sock, FRAME_HEADER.size)
+            got_gen, got_src, got_tag, length = FRAME_HEADER.unpack(hdr)
+            if got_src != src:
+                raise CollectiveError("frame source mismatch", rank=src)
+            payload = self._recv_exact(sock, length) if length else b""
         except socket.timeout:
             raise CollectiveError("timed out waiting for peer", rank=src,
                                   generation=generation,
                                   phase=f"tag {tag}") from None
-        got_gen, got_src, got_tag, length = FRAME_HEADER.unpack(hdr)
-        if got_src != src:
-            raise CollectiveError("frame source mismatch", rank=src)
-        payload = self._recv_exact(sock, length) if length else b""
+        except OSError as exc:
+            raise CollectiveError(f"receive from peer failed: {exc}", rank=src,
+                                  generation=generation,
+                                  phase=f"tag {tag}") from exc
         if (got_gen, got_tag) != (generation, tag):
             raise CollectiveError(
                 f"message mismatch: expected gen={generation} tag={tag}, "

@@ -1,0 +1,70 @@
+"""The cross-rank parameter hash of a training run, and the sign lane of
+``direct_allreduce`` on narrow inputs."""
+
+import json
+
+import numpy as np
+import pytest
+
+from lioncomm import runner
+from lioncomm.collectives import direct_allreduce, run_ranks
+from lioncomm.errors import CollectiveError, ConfigError
+from lioncomm.optimizer import hash_params
+
+SMALL = {"train": {"steps": 3, "clients": 2}, "metrics_every": 1}
+
+
+def test_final_params_hash_is_reported(tmp_path):
+    cfg = runner.RunConfig.from_dict(SMALL)
+    result = runner.run_training(cfg, out_dir=str(tmp_path))
+    digest = hash_params(result["state"].params)
+    assert result["final_params_hash"] == digest
+    with open(tmp_path / "report.json") as f:
+        assert json.load(f)["final_params_hash"] == digest
+
+
+def test_diverged_ranks_raise_collective_error(monkeypatch):
+    real = runner.train_worker
+
+    def diverging(topo, cfg):
+        result = real(topo, cfg)
+        if topo.rank == 1:
+            result["final_params_hash"] = "0" * 64
+        return result
+
+    monkeypatch.setattr(runner, "train_worker", diverging)
+    with pytest.raises(CollectiveError) as err:
+        runner.run_training(runner.RunConfig.from_dict(SMALL))
+    assert err.value.rank == 1
+
+
+@pytest.mark.parametrize("world", [1, 2, 3])
+def test_direct_binary_lane_takes_int8_signs(world):
+    rng = np.random.default_rng(world)
+    signs = [np.where(rng.random(37) < 0.5, -1, 1) for _ in range(world)]
+
+    def fn(topo):
+        wide = direct_allreduce(signs[topo.rank].astype(np.int64), topo,
+                                q_max=1, binary_signs=True)
+        narrow = direct_allreduce(signs[topo.rank].astype(np.int8), topo,
+                                  q_max=1, binary_signs=True)
+        return wide, narrow
+
+    expect = np.sum(signs, axis=0)
+    for wide, narrow in run_ranks(world, fn):
+        assert np.array_equal(narrow.values, expect)
+        assert narrow.values.dtype == wide.values.dtype
+        assert (narrow.ties, narrow.range) == (wide.ties, wide.range)
+        assert narrow.ties == int(np.count_nonzero(expect == 0))
+
+
+@pytest.mark.parametrize("bad", [0, 2, -2])
+def test_direct_binary_lane_rejects_non_signs(bad):
+    q = np.ones(5, dtype=np.int8)
+    q[3] = bad
+
+    def fn(topo):
+        return direct_allreduce(q, topo, q_max=1, binary_signs=True)
+
+    with pytest.raises(ConfigError):
+        run_ranks(2, fn)

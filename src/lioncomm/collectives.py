@@ -61,7 +61,15 @@ class Topology:
         self.transport.send(self.rank, dst, generation, tag, payload)
 
     def recv(self, src: int, tag: int, generation: int) -> bytes:
-        return self.transport.recv(self.rank, src, generation, tag, self.timeout)
+        """Payload of the next frame from ``src``, which must carry this
+        generation and tag: the collectives run in lockstep."""
+        got_gen, got_tag, payload = self.transport.recv(
+            self.rank, src, generation, tag, self.timeout)
+        if (got_gen, got_tag) != (generation, tag):
+            raise CollectiveError(
+                f"message mismatch: expected gen={generation} tag={tag}, "
+                f"got gen={got_gen} tag={got_tag}", rank=src)
+        return payload
 
 
 @dataclass
@@ -73,24 +81,36 @@ class VoteResult:
     ties: int = field(default=0)
 
 
-def _to_i64(x) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(x).ravel(), dtype=np.int64)
+def _codec(dtype):
+    """(encode, decode) of a vector as little-endian ``dtype`` bytes."""
+    wire = np.dtype(dtype).newbyteorder("<")
+    return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(),
+            lambda b: np.frombuffer(b, dtype=wire).astype(dtype))
 
 
-def _i64_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<i8").tobytes()
+def _exchange(topo: Topology, tag: int, gen: int, payloads) -> list:
+    """Send ``payloads[j]`` to every rank j but this one, then receive one
+    frame from each in rank order; this rank's slot comes back None."""
+    peers = [j for j in range(topo.world_size) if j != topo.rank]
+    for j in peers:
+        topo.send(j, tag, payloads[j], gen)
+    got = [None] * topo.world_size
+    for j in peers:
+        got[j] = topo.recv(j, tag, gen)
+    return got
 
 
-def _i64_from(b: bytes) -> np.ndarray:
-    return np.frombuffer(b, dtype="<i8").astype(np.int64)
-
-
-def _f64_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
-def _f64_from(b: bytes) -> np.ndarray:
-    return np.frombuffer(b, dtype="<f8").astype(np.float64)
+def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
+                encode, decode, dtype) -> np.ndarray | None:
+    """Flat sum at rank 0, accumulated in a fresh ``dtype`` array.  Returns
+    the sum at rank 0, None elsewhere."""
+    if topo.rank != 0:
+        topo.send(0, tag, encode(vec), gen)
+        return None
+    acc = vec.astype(dtype)
+    for src in range(1, topo.world_size):
+        acc += decode(topo.recv(src, tag, gen))
+    return acc
 
 
 def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int,
@@ -136,28 +156,21 @@ def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteRes
     identical either way.  Accepts integer or float vectors.
     """
     arr = np.asarray(c_i).ravel()
-    is_float = np.issubdtype(arr.dtype, np.floating)
-    if is_float:
-        vec = arr.astype(np.float64)
-        encode, decode = _f64_bytes, _f64_from
-    else:
-        vec = _to_i64(arr)
-        encode, decode = _i64_bytes, _i64_from
+    dtype = np.float64 if np.issubdtype(arr.dtype, np.floating) else np.int64
+    vec = np.asarray(arr, dtype=dtype)
+    encode, decode = _codec(dtype)
     gen = topo.next_generation()
-    p = topo.world_size
 
     if efficient:
         total = _tree_reduce_to_root(vec, topo, gen, encode, decode)
         total = _tree_broadcast(total, topo, gen, encode, decode)
     else:
+        total = _gather_sum(vec, topo, gen, TAG_GATHER, encode, decode, dtype)
         if topo.rank == 0:
-            total = vec.copy()
-            for src in range(1, p):
-                total = total + decode(topo.recv(src, TAG_GATHER, gen))
-            for dst in range(1, p):
-                topo.send(dst, TAG_BCAST, encode(total), gen)
+            payload = encode(total)
+            for dst in range(1, topo.world_size):
+                topo.send(dst, TAG_BCAST, payload, gen)
         else:
-            topo.send(0, TAG_GATHER, encode(vec), gen)
             total = decode(topo.recv(0, TAG_BCAST, gen))
 
     ties = int(np.count_nonzero(total == 0))
@@ -205,7 +218,7 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
         stored = q > 0
         offset = 0
     else:
-        q = _to_i64(q_i)
+        q = np.asarray(q_i, dtype=np.int64).ravel()
         if np.any(np.abs(q) > q_max):
             raise ConfigError(f"values exceed declared q_max={q_max}")
         stored = q + q_max
@@ -278,15 +291,11 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
 
     # Stage 1: pairwise-exchange all-to-all of 1-bit chunks.
     mine = [padded[j * chunk:(j + 1) * chunk] for j in range(p)]
-    received = [None] * p
-    received[r] = mine[r]
-    for j in range(p):
-        if j != r:
-            topo.send(j, TAG_ALLTOALL, pack(mine[j], 1, 1).to_bytes(), gen)
-    for j in range(p):
-        if j != r:
-            received[j] = unpack(PackedBits.from_bytes(
-                topo.recv(j, TAG_ALLTOALL, gen)))
+    raw = _exchange(topo, TAG_ALLTOALL, gen,
+                    [None if j == r else pack(m, 1, 1).to_bytes()
+                     for j, m in enumerate(mine)])
+    received = [mine[r] if b is None else unpack(PackedBits.from_bytes(b))
+                for b in raw]
 
     # A sum of P signs fits int8 up to P = 127.
     chunk_sum = np.sum(np.stack(received), axis=0,
@@ -299,16 +308,10 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
 
     # Stage 2: allgather of the voted chunks plus each chunk's tie count.
     my_payload = local_ties.to_bytes(4, "little") + pack(voted, 1, 1).to_bytes()
-    gathered = [None] * p
-    gathered[r] = (local_ties, voted)
-    for j in range(p):
-        if j != r:
-            topo.send(j, TAG_SIGN_AG, my_payload, gen)
-    for j in range(p):
-        if j != r:
-            raw = topo.recv(j, TAG_SIGN_AG, gen)
-            ties_j = int.from_bytes(raw[:4], "little")
-            gathered[j] = (ties_j, unpack(PackedBits.from_bytes(raw[4:])))
+    gathered = [(local_ties, voted) if b is None else
+                (int.from_bytes(b[:4], "little"),
+                 unpack(PackedBits.from_bytes(b[4:])))
+                for b in _exchange(topo, TAG_SIGN_AG, gen, [my_payload] * p)]
 
     total_ties = sum(t for t, _ in gathered)
     full = np.concatenate([v for _, v in gathered])[:n]
@@ -330,39 +333,20 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
     hands every rank the same bits.
     """
     vec = np.asarray(x, dtype=np.float32).ravel()
-
-    def encode(a):
-        return np.ascontiguousarray(a, dtype="<f4").tobytes()
-
-    def decode(b):
-        return np.frombuffer(b, dtype="<f4").astype(np.float32)
-
+    encode, decode = _codec(np.float32)
     gen = topo.next_generation()
-    if topo.rank == 0:
-        acc = vec.astype(np.float64)
-        for src in range(1, topo.world_size):
-            acc += decode(topo.recv(src, TAG_REDUCE, gen)).astype(np.float64)
-        mean = (acc / topo.world_size).astype(np.float32)
-    else:
-        topo.send(0, TAG_REDUCE, encode(vec), gen)
-        mean = np.empty(vec.size, dtype=np.float32)
+    acc = _gather_sum(vec, topo, gen, TAG_REDUCE, encode, decode, np.float64)
+    mean = None if acc is None else (acc / topo.world_size).astype(np.float32)
     return _tree_broadcast(mean, topo, gen, encode, decode)
 
 
 def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
     """Every rank returns [x_0, ..., x_{P-1}] in rank order."""
     vec = np.asarray(x, dtype=np.float64).ravel()
-    gen = topo.next_generation()
-    out = [None] * topo.world_size
-    out[topo.rank] = vec
-    payload = _f64_bytes(vec)
-    for j in range(topo.world_size):
-        if j != topo.rank:
-            topo.send(j, TAG_ALLGATHER, payload, gen)
-    for j in range(topo.world_size):
-        if j != topo.rank:
-            out[j] = _f64_from(topo.recv(j, TAG_ALLGATHER, gen))
-    return out
+    encode, decode = _codec(np.float64)
+    raw = _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
+                    [encode(vec)] * topo.world_size)
+    return [vec if b is None else decode(b) for b in raw]
 
 
 def run_ranks(world_size: int, fn, transport: Transport | None = None,

@@ -3,12 +3,14 @@
 Cost of moving one message is alpha + beta * bits.  The four algorithms
 have the closed forms below for P workers, N parameters, and b bits per
 word; computational overhead (packing, summing) is deliberately excluded.
+The runtime name is the ``algo`` that run configs and
+``optimizer.VOTE_ALGOS`` use for the same collective.
 
-algorithm            latency              bandwidth
-ps_naive             2(P-1) a             2 P N b B
-ps_efficient         2 log2(P) a          3 (P-1)/P N b B
-direct_allreduce     2 log2(P) a          2 (P-1)/P N (log2(P)+1) B
-compressed_1bit      (P-1+log2(P)) a      (1 + (P-1)/P) N B
+algorithm          runtime name    latency            bandwidth
+ps_naive           ps              2(P-1) a           2 P N b B
+ps_efficient       ps_efficient    2 log2(P) a        3 (P-1)/P N b B
+direct_allreduce   direct          2 log2(P) a        2 (P-1)/P N (log2(P)+1) B
+compressed_1bit    compressed1bit  (P-1+log2(P)) a    (1 + (P-1)/P) N B
 """
 
 from __future__ import annotations

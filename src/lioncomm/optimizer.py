@@ -131,7 +131,19 @@ def lion_step(state: WorkerState, grad: ParamSet, h: LionHyper) -> WorkerState:
     return WorkerState(params=new_params, momentum=new_mom, iteration=t)
 
 
-VOTE_ALGOS = ("ps", "ps_efficient", "direct", "compressed1bit")
+# Vote algorithm -> the collective over a step's bucket, called as
+# f(bucket, topo, spec, policy).  ``coll.<fn>`` is looked up at call time,
+# so a wrapper installed on the collectives module is seen.
+VOTE_ALGOS = {
+    "ps": lambda b, topo, spec, policy: coll.ps_gather_broadcast(b, topo),
+    "ps_efficient": lambda b, topo, spec, policy: coll.ps_gather_broadcast(
+        b, topo, efficient=True),
+    "direct": lambda b, topo, spec, policy: coll.direct_allreduce(
+        b, topo, q_max=1 if spec.bits == 1 else spec.qmax,
+        binary_signs=spec.bits == 1),
+    "compressed1bit": lambda b, topo, spec, policy:
+        coll.compressed_allreduce_1bit(b, topo, policy),
+}
 
 
 def _fuse(parts: list[np.ndarray]) -> np.ndarray:
@@ -151,6 +163,8 @@ def _vote(cs: list[np.ndarray], spec: QuantSpec | None, topo: Topology,
     """Quantize each layer's update on its own scale and aggregate them all
     in one collective; returns (per-layer signs, vote over the bucket)."""
     t0 = time.perf_counter()
+    if algo not in VOTE_ALGOS:
+        raise ConfigError(f"unknown vote algorithm {algo!r}")
     if spec is None and algo == "direct":
         raise ConfigError("direct allreduce needs an integer QuantSpec")
     if algo == "compressed1bit" or spec is None:
@@ -161,25 +175,13 @@ def _vote(cs: list[np.ndarray], spec: QuantSpec | None, topo: Topology,
         q = [quantize(c, spec, rng=rng) for c in cs]
     bucket = _fuse(q)
     t1 = time.perf_counter()
-    if algo == "compressed1bit":
-        vote = coll.compressed_allreduce_1bit(bucket, topo, policy)
-    elif algo in ("ps", "ps_efficient"):
-        vote = coll.ps_gather_broadcast(bucket, topo,
-                                        efficient=algo == "ps_efficient")
-    elif algo == "direct":
-        binary = spec.bits == 1
-        vote = coll.direct_allreduce(bucket, topo,
-                                     q_max=spec.qmax if not binary else 1,
-                                     binary_signs=binary)
-    else:
-        raise ConfigError(f"unknown vote algorithm {algo!r}")
+    vote = VOTE_ALGOS[algo](bucket, topo, spec, policy)
     # The 1-bit vote already is the majority sign.
     sign = (vote.values if algo == "compressed1bit"
             else coll.majority_sign(vote, policy))
     if timing is not None:
-        t2 = time.perf_counter()
-        timing["t_quant"] = timing.get("t_quant", 0.0) + (t1 - t0)
-        timing["t_comm"] = timing.get("t_comm", 0.0) + (t2 - t1)
+        timing["t_quant"] = t1 - t0
+        timing["t_comm"] = time.perf_counter() - t1
     return _split(sign, cs), vote
 
 

@@ -129,6 +129,11 @@ def _log_unmap(y: np.ndarray, s: float) -> np.ndarray:
     return np.sign(y) * s * np.expm1(np.abs(y))
 
 
+def _scale(spec: QuantSpec, norm: float) -> float:
+    """The magnitude that maps to qmax: M for p = inf, 2M for finite p."""
+    return norm if spec.norm_p == INF else 2.0 * norm
+
+
 def quantize(x: np.ndarray, spec: QuantSpec,
              rng: np.random.Generator | None = None) -> np.ndarray:
     """Quantize a real vector to integers in [-qmax, qmax].
@@ -153,17 +158,8 @@ def quantize(x: np.ndarray, spec: QuantSpec,
     m = lp_mean_norm(y, spec.norm_p)
     if m == 0 or qmax == 0:
         q = np.zeros(x.shape, dtype=np.int64)
-    elif spec.norm_p == INF:
-        scaled = (qmax / m) * y
-        if spec.rounding == "stochastic":
-            if rng is None:
-                raise ConfigError("stochastic rounding needs an rng")
-            q = sround(scaled, rng)
-        else:
-            q = np.round(scaled).astype(np.int64)
-        q = np.clip(q, -qmax, qmax)
     else:
-        scaled = (qmax / (2.0 * m)) * y
+        scaled = (qmax / _scale(spec, m)) * y
         if spec.rounding == "stochastic":
             if rng is None:
                 raise ConfigError("stochastic rounding needs an rng")
@@ -189,10 +185,7 @@ def dequantize(q: np.ndarray, spec: QuantSpec, norm: float,
     qmax = spec.qmax
     if qmax == 0 or norm == 0:
         return np.zeros_like(q)
-    if spec.norm_p == INF:
-        y = q * (norm / qmax)
-    else:
-        y = q * (2.0 * norm / qmax)
+    y = q * (_scale(spec, norm) / qmax)
     if spec.log_transform:
         if log_scale is None:
             raise ConfigError("dequantize of a log-transformed vector needs log_scale")

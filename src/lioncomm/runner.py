@@ -134,6 +134,14 @@ def _percentile(xs: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(xs), q)) if xs else 0.0
 
 
+def _match_flip(vs: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
+    """Fractions of coordinates whose voted sign equals the nonzero
+    reference sign (match), and that are strictly opposite (flip)."""
+    match = int(np.count_nonzero((vs == ref) & (vs != 0)))
+    flip = int(np.count_nonzero((vs == -ref) & (vs != 0) & (ref != 0)))
+    return match / vs.size, flip / vs.size
+
+
 def train_worker(topo: Topology, cfg: RunConfig) -> dict:
     """One rank's full training loop; returns rank-local rows and timings."""
     teacher = init_mlp(cfg.model, np.random.default_rng(
@@ -172,13 +180,11 @@ def train_worker(topo: Topology, cfg: RunConfig) -> dict:
             c_all = np.concatenate([info["c_local"][n] for n in layers])
             ref = np.sign(coll.allreduce_mean_f32(c_all, topo))
             vs = np.concatenate([info["vote_sign"][n] for n in layers])
-            match = int(np.count_nonzero((vs == ref) & (vs != 0)))
-            flip = int(np.count_nonzero((vs == -ref) & (vs != 0) & (ref != 0)))
+            match, flip = _match_flip(vs, ref)
             div = momentum_divergence(state, topo)
             row = {"step": t, "loss": loss,
                    "tie_rate": info["ties"] / n_total,
-                   "sign_match": match / vs.size,
-                   "flip_rate": flip / vs.size}
+                   "sign_match": match, "flip_rate": flip}
             for name in sorted(div):
                 row[f"div_{name}"] = div[name]
             rows.append(row)
@@ -313,20 +319,16 @@ def quant_bench(updates: list[np.ndarray], bits: int, seed: int = 0,
     excluded on both sides.
     """
     ref = np.sign(np.sum(np.stack(updates), axis=0))
-    d = updates[0].size
     rows = []
     for variant in variants:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
         spec = bench_spec(variant, bits)
         if spec is None:
             policy = SignPolicy(mode="alternating", iteration=1)
-            agg = np.sum(np.stack([apply_sign(c, policy) for c in updates]), axis=0)
+            q = [apply_sign(c, policy) for c in updates]
         else:
-            agg = np.sum(np.stack([quantize(c, spec, rng=rng) for c in updates]),
-                         axis=0)
-        vs = np.sign(agg)
-        match = np.count_nonzero((vs == ref) & (vs != 0)) / d
-        flip = np.count_nonzero((vs == -ref) & (vs != 0) & (ref != 0)) / d
+            q = [quantize(c, spec, rng=rng) for c in updates]
+        match, flip = _match_flip(np.sign(np.sum(np.stack(q), axis=0)), ref)
         rows.append({"quantizer": variant, "sign_match_rate": match,
                      "flip_rate": flip})
     return rows

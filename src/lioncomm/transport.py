@@ -16,6 +16,7 @@ collectives require.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import struct
@@ -38,7 +39,9 @@ class Transport:
         raise NotImplementedError
 
     def recv(self, dst: int, src: int, generation: int, tag: int,
-             timeout: float) -> bytes:
+             timeout: float) -> tuple[int, int, bytes]:
+        """(generation, tag, payload) of the next frame from ``src``; the
+        expected ``generation`` and ``tag`` only label errors here."""
         raise NotImplementedError
 
     def close(self):
@@ -48,12 +51,12 @@ class Transport:
 class InprocTransport(Transport):
     """Bounded FIFO channels per ordered rank pair, for threaded ranks."""
 
-    def __init__(self, world_size: int, maxsize: int = 1024):
+    def __init__(self, world_size: int):
         if world_size < 1:
             raise ConfigError("world_size must be >= 1")
         self.world_size = world_size
         self._queues = {
-            (s, d): queue.Queue(maxsize=maxsize)
+            (s, d): queue.Queue(maxsize=1024)
             for s in range(world_size)
             for d in range(world_size)
             if s != d
@@ -64,15 +67,10 @@ class InprocTransport(Transport):
 
     def recv(self, dst, src, generation, tag, timeout):
         try:
-            got_gen, got_tag, payload = self._queues[(src, dst)].get(timeout=timeout)
+            return self._queues[(src, dst)].get(timeout=timeout)
         except queue.Empty:
             raise CollectiveError("timed out waiting for peer", rank=src,
                                   generation=generation, phase=f"tag {tag}") from None
-        if (got_gen, got_tag) != (generation, tag):
-            raise CollectiveError(
-                f"message mismatch: expected gen={generation} tag={tag}, "
-                f"got gen={got_gen} tag={got_tag}", rank=src)
-        return payload
 
 
 class SocketTransport(Transport):
@@ -85,36 +83,45 @@ class SocketTransport(Transport):
         self._socks: dict[int, socket.socket] = {}
         self._lock = threading.Lock()
 
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, base_port + rank))
-        listener.listen(world_size)
-        listener.settimeout(connect_timeout)
-        self._listener = listener
+        # Every socket opened here is closed again if set-up fails.
+        with contextlib.ExitStack() as opened:
+            listener = opened.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, base_port + rank))
+            listener.listen(world_size)
+            listener.settimeout(connect_timeout)
+            self._listener = listener
 
-        # Rank order breaks symmetry: dial every lower-ranked peer, accept
-        # every higher-ranked one.
-        for peer in range(rank):
-            s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            s.settimeout(connect_timeout)
-            t0 = time.monotonic()
-            while True:
+            # Rank order breaks symmetry: dial every lower-ranked peer,
+            # accept every higher-ranked one.
+            for peer in range(rank):
+                s = opened.enter_context(
+                    socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+                s.settimeout(connect_timeout)
+                t0 = time.monotonic()
+                while True:
+                    try:
+                        s.connect((host, base_port + peer))
+                        break
+                    except (ConnectionRefusedError, OSError):
+                        if time.monotonic() - t0 > connect_timeout:
+                            raise CollectiveError("could not reach peer",
+                                                  rank=peer, phase="connect")
+                        time.sleep(0.02)
+                s.sendall(struct.pack("<i", rank))
+                self._socks[peer] = s
+            for _ in range(world_size - 1 - rank):
                 try:
-                    s.connect((host, base_port + peer))
-                    break
-                except (ConnectionRefusedError, OSError):
-                    if time.monotonic() - t0 > connect_timeout:
-                        raise CollectiveError("could not reach peer", rank=peer,
-                                              phase="connect")
-                    time.sleep(0.02)
-            s.sendall(struct.pack("<i", rank))
-            self._socks[peer] = s
-        for _ in range(world_size - 1 - rank):
-            conn, _addr = listener.accept()
-            conn.settimeout(connect_timeout)
-            hdr = self._recv_exact(conn, 4)
-            (peer,) = struct.unpack("<i", hdr)
-            self._socks[peer] = conn
+                    conn = opened.enter_context(listener.accept()[0])
+                    conn.settimeout(connect_timeout)
+                    (peer,) = struct.unpack("<i", self._recv_exact(conn, 4))
+                except (OSError, CollectiveError) as exc:
+                    raise CollectiveError(
+                        f"a higher-ranked peer did not connect: {exc}",
+                        phase="accept") from exc
+                self._socks[peer] = conn
+            opened.pop_all()  # set-up succeeded: keep every socket open
         for s in self._socks.values():
             s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -159,11 +166,7 @@ class SocketTransport(Transport):
             raise CollectiveError(f"receive from peer failed: {exc}", rank=src,
                                   generation=generation,
                                   phase=f"tag {tag}") from exc
-        if (got_gen, got_tag) != (generation, tag):
-            raise CollectiveError(
-                f"message mismatch: expected gen={generation} tag={tag}, "
-                f"got gen={got_gen} tag={got_tag}", rank=src)
-        return payload
+        return got_gen, got_tag, payload
 
     def close(self):
         for s in self._socks.values():

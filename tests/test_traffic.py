@@ -1,0 +1,114 @@
+"""Messages and payload bytes each rank sends, per collective.
+
+The literals below were recorded from the collectives as they stood
+before their wire encoding, exchange loops and gather-sum were shared;
+they check the traffic rather than assume it.  A collective that changes
+its traffic must change them, and say why.
+"""
+
+import numpy as np
+import pytest
+
+from lioncomm.collectives import (allgather_f64, allreduce_mean_f32,
+                                  compressed_allreduce_1bit, direct_allreduce,
+                                  ps_gather_broadcast, run_ranks)
+from lioncomm.quant import SignPolicy
+from lioncomm.transport import InprocTransport
+
+POLICY = SignPolicy("alternating", iteration=1)
+
+
+def ints(x):
+    return np.clip(np.round(x * 3), -7, 7).astype(np.int64)
+
+
+CALLS = {
+    "ps": lambda x, topo: ps_gather_broadcast(ints(x), topo),
+    "ps_efficient": lambda x, topo: ps_gather_broadcast(ints(x), topo,
+                                                        efficient=True),
+    "direct": lambda x, topo: direct_allreduce(ints(x), topo, q_max=7),
+    "compressed1bit": lambda x, topo: compressed_allreduce_1bit(x, topo, POLICY),
+    "allreduce_mean_f32": allreduce_mean_f32,
+    "allgather_f64": allgather_f64,
+}
+
+# (collective, P, N): (messages sent by each rank, payload bytes sent by
+# each rank), framing excluded.
+TRAFFIC = {
+    ('ps', 2, 1): ([1, 1], [8, 8]),
+    ('ps', 2, 7): ([1, 1], [56, 56]),
+    ('ps', 2, 1000): ([1, 1], [8000, 8000]),
+    ('ps', 3, 1): ([2, 1, 1], [16, 8, 8]),
+    ('ps', 3, 7): ([2, 1, 1], [112, 56, 56]),
+    ('ps', 3, 1000): ([2, 1, 1], [16000, 8000, 8000]),
+    ('ps', 4, 1): ([3, 1, 1, 1], [24, 8, 8, 8]),
+    ('ps', 4, 7): ([3, 1, 1, 1], [168, 56, 56, 56]),
+    ('ps', 4, 1000): ([3, 1, 1, 1], [24000, 8000, 8000, 8000]),
+    ('ps_efficient', 2, 1): ([1, 1], [8, 8]),
+    ('ps_efficient', 2, 7): ([1, 1], [56, 56]),
+    ('ps_efficient', 2, 1000): ([1, 1], [8000, 8000]),
+    ('ps_efficient', 3, 1): ([2, 1, 1], [16, 8, 8]),
+    ('ps_efficient', 3, 7): ([2, 1, 1], [112, 56, 56]),
+    ('ps_efficient', 3, 1000): ([2, 1, 1], [16000, 8000, 8000]),
+    ('ps_efficient', 4, 1): ([2, 1, 2, 1], [16, 8, 16, 8]),
+    ('ps_efficient', 4, 7): ([2, 1, 2, 1], [112, 56, 112, 56]),
+    ('ps_efficient', 4, 1000): ([2, 1, 2, 1], [16000, 8000, 16000, 8000]),
+    ('direct', 2, 1): ([2, 2], [2, 2]),
+    ('direct', 2, 7): ([2, 2], [8, 8]),
+    ('direct', 2, 1000): ([2, 2], [1000, 1000]),
+    ('direct', 3, 1): ([4, 4, 4], [4, 4, 4]),
+    ('direct', 3, 7): ([4, 4, 4], [12, 12, 12]),
+    ('direct', 3, 1000): ([4, 4, 4], [1336, 1336, 1336]),
+    ('direct', 4, 1): ([6, 6, 6, 6], [6, 6, 6, 6]),
+    ('direct', 4, 7): ([6, 6, 6, 6], [12, 12, 12, 12]),
+    ('direct', 4, 1000): ([6, 6, 6, 6], [1500, 1500, 1500, 1500]),
+    ('compressed1bit', 2, 1): ([2, 2], [24, 24]),
+    ('compressed1bit', 2, 7): ([2, 2], [24, 24]),
+    ('compressed1bit', 2, 1000): ([2, 2], [148, 148]),
+    ('compressed1bit', 3, 1): ([4, 4, 4], [48, 48, 48]),
+    ('compressed1bit', 3, 7): ([4, 4, 4], [48, 48, 48]),
+    ('compressed1bit', 3, 1000): ([4, 4, 4], [212, 212, 212]),
+    ('compressed1bit', 4, 1): ([6, 6, 6, 6], [72, 72, 72, 72]),
+    ('compressed1bit', 4, 7): ([6, 6, 6, 6], [72, 72, 72, 72]),
+    ('compressed1bit', 4, 1000): ([6, 6, 6, 6], [258, 258, 258, 258]),
+    ('allreduce_mean_f32', 2, 1): ([1, 1], [4, 4]),
+    ('allreduce_mean_f32', 2, 7): ([1, 1], [28, 28]),
+    ('allreduce_mean_f32', 2, 1000): ([1, 1], [4000, 4000]),
+    ('allreduce_mean_f32', 3, 1): ([2, 1, 1], [8, 4, 4]),
+    ('allreduce_mean_f32', 3, 7): ([2, 1, 1], [56, 28, 28]),
+    ('allreduce_mean_f32', 3, 1000): ([2, 1, 1], [8000, 4000, 4000]),
+    ('allreduce_mean_f32', 4, 1): ([2, 1, 2, 1], [8, 4, 8, 4]),
+    ('allreduce_mean_f32', 4, 7): ([2, 1, 2, 1], [56, 28, 56, 28]),
+    ('allreduce_mean_f32', 4, 1000): ([2, 1, 2, 1], [8000, 4000, 8000, 4000]),
+    ('allgather_f64', 2, 1): ([1, 1], [8, 8]),
+    ('allgather_f64', 2, 7): ([1, 1], [56, 56]),
+    ('allgather_f64', 2, 1000): ([1, 1], [8000, 8000]),
+    ('allgather_f64', 3, 1): ([2, 2, 2], [16, 16, 16]),
+    ('allgather_f64', 3, 7): ([2, 2, 2], [112, 112, 112]),
+    ('allgather_f64', 3, 1000): ([2, 2, 2], [16000, 16000, 16000]),
+    ('allgather_f64', 4, 1): ([3, 3, 3, 3], [24, 24, 24, 24]),
+    ('allgather_f64', 4, 7): ([3, 3, 3, 3], [168, 168, 168, 168]),
+    ('allgather_f64', 4, 1000): ([3, 3, 3, 3], [24000, 24000, 24000, 24000]),
+}
+
+
+class CountingTransport(InprocTransport):
+    def __init__(self, world_size):
+        super().__init__(world_size)
+        self.msgs = [0] * world_size
+        self.bytes = [0] * world_size
+
+    def send(self, src, dst, generation, tag, payload):
+        self.msgs[src] += 1
+        self.bytes[src] += len(payload)
+        super().send(src, dst, generation, tag, payload)
+
+
+@pytest.mark.parametrize("name,world,n", sorted(TRAFFIC))
+def test_traffic_per_rank(name, world, n):
+    rng = np.random.default_rng(0)
+    xs = [rng.normal(size=n) for _ in range(world)]
+    transport = CountingTransport(world)
+    run_ranks(world, lambda topo: CALLS[name](xs[topo.rank], topo),
+              transport=transport)
+    assert (transport.msgs, transport.bytes) == TRAFFIC[(name, world, n)]

@@ -82,10 +82,16 @@ class VoteResult:
 
 
 def _codec(dtype):
-    """(encode, decode) of a vector as little-endian ``dtype`` bytes."""
+    """(encode, decode) of a vector as little-endian ``dtype`` bytes.  decode
+    returns a writable array, copying only a read-only payload (in-process
+    bytes) or a foreign byte order: socket payloads are the receiver's own."""
     wire = np.dtype(dtype).newbyteorder("<")
-    return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(),
-            lambda b: np.frombuffer(b, dtype=wire).astype(dtype))
+
+    def decode(b):
+        view = np.frombuffer(b, dtype=wire)
+        return view.astype(dtype, copy=not view.flags.writeable)
+
+    return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(), decode)
 
 
 def _exchange(topo: Topology, tag: int, gen: int, payloads) -> list:
@@ -114,9 +120,10 @@ def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
 
 
 def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int,
-                         encode, decode) -> np.ndarray | None:
-    """Binomial-tree sum at rank 0.  Returns the sum at rank 0, None elsewhere."""
-    acc = vec.copy()
+                         encode, decode, dtype) -> np.ndarray | None:
+    """Binomial-tree sum at rank 0, accumulated in a fresh ``dtype`` array.
+    Returns the sum at rank 0, None elsewhere."""
+    acc = vec.astype(dtype)
     mask = 1
     while mask < topo.world_size:
         if topo.rank & mask:
@@ -155,14 +162,13 @@ def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteRes
     ``efficient`` switches flat sends for binomial trees; results are
     identical either way.  Accepts integer or float vectors.
     """
-    arr = np.asarray(c_i).ravel()
-    dtype = np.float64 if np.issubdtype(arr.dtype, np.floating) else np.int64
-    vec = np.asarray(arr, dtype=dtype)
+    vec = np.asarray(c_i).ravel()  # widened only by the sum's or codec's copy
+    dtype = np.float64 if np.issubdtype(vec.dtype, np.floating) else np.int64
     encode, decode = _codec(dtype)
     gen = topo.next_generation()
 
     if efficient:
-        total = _tree_reduce_to_root(vec, topo, gen, encode, decode)
+        total = _tree_reduce_to_root(vec, topo, gen, encode, decode, dtype)
         total = _tree_broadcast(total, topo, gen, encode, decode)
     else:
         total = _gather_sum(vec, topo, gen, TAG_GATHER, encode, decode, dtype)
@@ -225,11 +231,12 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
         offset = q_max
 
     dtype = LANE_DTYPES[lane_bits]
+    encode, decode = _codec(dtype)
     n = stored.size
     chunk = -(-n // p)  # ceil
     padded = np.zeros(chunk * p, dtype=dtype)
     padded[:n] = stored
-    chunks = [padded[i * chunk:(i + 1) * chunk].copy() for i in range(p)]
+    chunks = [padded[i * chunk:(i + 1) * chunk] for i in range(p)]
 
     gen = topo.next_generation()
     r = topo.rank
@@ -241,17 +248,16 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
         for step in range(p - 1):
             send_idx = (r - step) % p
             recv_idx = (r - step - 1) % p
-            topo.send(right, TAG_RING_RS, chunks[send_idx].tobytes(), gen)
-            incoming = np.frombuffer(topo.recv(left, TAG_RING_RS, gen), dtype=dtype)
-            chunks[recv_idx] = chunks[recv_idx] + incoming  # lane wraps guarded above
+            topo.send(right, TAG_RING_RS, encode(chunks[send_idx]), gen)
+            # Lane overflow is ruled out by the capacity check above.
+            chunks[recv_idx] += decode(topo.recv(left, TAG_RING_RS, gen))
         own = (r + 1) % p
         # Allgather the reduced chunks around the same ring.
         for step in range(p - 1):
             send_idx = (own - step) % p
             recv_idx = (own - step - 1) % p
-            topo.send(right, TAG_RING_AG, chunks[send_idx].tobytes(), gen)
-            chunks[recv_idx] = np.frombuffer(
-                topo.recv(left, TAG_RING_AG, gen), dtype=dtype).copy()
+            topo.send(right, TAG_RING_AG, encode(chunks[send_idx]), gen)
+            chunks[recv_idx] = decode(topo.recv(left, TAG_RING_AG, gen))
 
     summed = np.concatenate(chunks).astype(np.int64)[:n]
     if binary_signs:

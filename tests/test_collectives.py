@@ -64,6 +64,23 @@ class TestPsGatherBroadcast:
         for r in run_vote(2, fn):
             assert r.tolist() == [2.0, -1.0]
 
+    @pytest.mark.parametrize("world", [1, 2])
+    @pytest.mark.parametrize("efficient", [False, True])
+    def test_int8_signs_sum_to_int64(self, world, efficient):
+        signs = [np.array([1, -1, 0, 1, -1], dtype=np.int8) * (-1) ** r
+                 for r in range(world)]
+        expect = sum_oracle(signs)
+
+        def fn(topo):
+            return ps_gather_broadcast(signs[topo.rank], topo,
+                                       efficient=efficient).values
+
+        for r, values in enumerate(run_vote(world, fn)):
+            assert values.dtype == np.int64
+            assert np.array_equal(values, expect)
+            values[0] = 99  # a copy: the input is untouched
+            assert signs[r][0] == (-1) ** r
+
 
 class TestDirectAllreduce:
     @pytest.mark.parametrize("world", [2, 3, 4, 8])

@@ -145,3 +145,23 @@ def test_unreachable_lower_rank_closes_every_socket():
     assert (err.value.rank, err.value.phase) == (0, "connect")
     assert open_fds() == fds
     assert_port_free(base + 1)
+
+
+def test_taken_port_raises_collective_error():
+    base = free_base_port(world=1)
+    squatter = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        squatter.bind(("127.0.0.1", base))
+        squatter.listen(1)
+        fds = open_fds()
+        with pytest.raises(CollectiveError) as err:
+            SocketTransport(1, 0, base_port=base, connect_timeout=0.2)
+        assert err.value.phase == "bind"
+        assert str(base) in str(err.value)
+        assert open_fds() == fds
+        # The squatter still listens on its port.
+        squatter.settimeout(2)
+        with socket.create_connection(("127.0.0.1", base), timeout=2):
+            squatter.accept()[0].close()
+    finally:
+        squatter.close()

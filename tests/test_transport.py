@@ -3,10 +3,15 @@
 import select
 import socket
 import struct
+import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 
+from lioncomm.collectives import (Topology, allgather_f64, direct_allreduce,
+                                  ps_gather_broadcast, run_ranks)
 from lioncomm.errors import CollectiveError
 from lioncomm.transport import FRAME_HEADER, SocketTransport
 
@@ -58,6 +63,15 @@ def test_stalled_payload_raises_collective_error(mesh):
     assert (err.value.rank, err.value.generation, err.value.phase) == (1, 5, "tag 3")
 
 
+def test_frame_from_wrong_source_raises_collective_error(mesh):
+    rank0, rank1 = mesh
+    # Rank 1's connection carries a frame that claims to come from rank 3.
+    rank1._socks[0].sendall(FRAME_HEADER.pack(5, 3, 3, 1) + b"x")
+    with pytest.raises(CollectiveError, match="source mismatch") as err:
+        rank0.recv(0, 1, generation=5, tag=3, timeout=5)
+    assert (err.value.rank, err.value.generation, err.value.phase) == (1, 5, "tag 3")
+
+
 def test_send_to_reset_peer_raises_collective_error(mesh):
     rank0, rank1 = mesh
     peer = rank1._socks[0]
@@ -79,3 +93,79 @@ def test_recv_from_reset_peer_raises_collective_error(mesh):
     with pytest.raises(CollectiveError) as err:
         rank0.recv(0, 1, generation=2, tag=6, timeout=5)
     assert err.value.rank == 1
+
+
+def test_peer_closing_mid_collective_fails_at_once(mesh):
+    rank0, rank1 = mesh
+    topo = Topology(world_size=2, rank=0, transport=rank0, timeout=5)
+    # Rank 0 waits in the gather; rank 1 closes cleanly (EOF, not a reset).
+    closer = threading.Timer(0.2, rank1.close)
+    closer.start()
+    t0 = time.monotonic()
+    with pytest.raises(CollectiveError, match="closed") as err:
+        ps_gather_broadcast(np.ones(4, dtype=np.int8), topo)
+    assert time.monotonic() - t0 < 2
+    assert (err.value.rank, err.value.generation, err.value.phase) == (1, 1, "tag 1")
+    closer.join(timeout=5)
+    assert not closer.is_alive()
+    t0 = time.monotonic()
+    with pytest.raises(CollectiveError, match="closed") as again:
+        rank0.recv(0, 1, generation=2, tag=1, timeout=5)
+    assert time.monotonic() - t0 < 0.5
+    assert again.value.rank == 1
+
+
+def run_socket_ranks(fn, world=2, timeout=5):
+    """``fn(topo)`` on ``world`` socket ranks with a short timeout."""
+    base = free_base_port(world)
+    return run_ranks(world, fn, timeout=timeout,
+                     transport_factory=lambda r: SocketTransport(
+                         world, r, base_port=base, connect_timeout=timeout))
+
+
+def test_ring_frames_larger_than_socket_buffers_do_not_stall():
+    # A 16-bit lane of 8M elements: each ring frame is 8 MB, and both
+    # ranks send it before they receive.
+    rng = np.random.default_rng(8)
+    vecs = [rng.integers(-127, 128, size=8_000_000, dtype=np.int8)
+            for _ in range(2)]
+    t0 = time.monotonic()
+    results = run_socket_ranks(
+        lambda topo: direct_allreduce(vecs[topo.rank], topo, q_max=127).values)
+    assert time.monotonic() - t0 < 10
+    expect = vecs[0].astype(np.int64) + vecs[1]
+    assert all(np.array_equal(r, expect) for r in results)
+
+
+def test_allgather_larger_than_socket_buffers_does_not_stall():
+    vecs = [np.arange(1_000_000, dtype=np.float64) * (r + 1) for r in range(2)]
+    t0 = time.monotonic()
+    results = run_socket_ranks(lambda topo: allgather_f64(vecs[topo.rank], topo))
+    assert time.monotonic() - t0 < 10
+    for got in results:
+        assert all(np.array_equal(g, v) for g, v in zip(got, vecs))
+
+
+def test_many_readers_under_fast_thread_switching():
+    # Four socket ranks (twelve reader threads on any core count) run
+    # mixed collectives with a very short interpreter switch interval:
+    # every frame must reach its FIFO whole and in order.
+    world = 4
+    vecs = [np.arange(5_000, dtype=np.float64) * (r + 1) for r in range(world)]
+
+    def fn(topo):
+        for _ in range(20):
+            gathered = allgather_f64(vecs[topo.rank], topo)
+            assert all(np.array_equal(g, v) for g, v in zip(gathered, vecs))
+            total = ps_gather_broadcast(vecs[topo.rank], topo, efficient=True)
+            assert np.array_equal(total.values, sum(vecs))
+        return True
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        t0 = time.monotonic()
+        assert run_socket_ranks(fn, world=world) == [True] * world
+        assert time.monotonic() - t0 < 10
+    finally:
+        sys.setswitchinterval(old)

@@ -4,8 +4,6 @@ Subcommands:
   train       run the toy distributed-Lion workload from a JSON config
   quant-bench sign match/flip rates of the quantizer variants
   costmodel   alpha-beta cost sweep of the vote collectives, as CSV
-  selftest    quick correctness battery (collectives vs oracle, packing,
-              stochastic rounding, gradients)
 
 Exit codes: 0 success, 2 config error, 3 collective/runtime error.
 """
@@ -17,13 +15,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import collectives as coll
 from . import costmodel, runner
-from .errors import CollectiveError, ConfigError, LionCommError
-from .quant import PackedBits, pack, sround, unpack
-from .workloads import MlpModel, init_mlp, teacher_student_batch
+from .errors import CollectiveError, ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,112 +78,6 @@ def cmd_costmodel(args) -> int:
     return EXIT_OK
 
 
-# ------------------------------------------------------------- selftest
-
-def _selftest_collectives() -> bool:
-    from .quant import SignPolicy
-    rng = np.random.default_rng(2024)
-    ok = True
-    for p in (2, 3, 4, 8):
-        n = 65
-        vecs = [rng.integers(-7, 8, size=n) for _ in range(p)]
-        oracle = np.sum(np.stack(vecs), axis=0)
-        for efficient in (False, True):
-            res = coll.run_ranks(
-                p, lambda topo: coll.ps_gather_broadcast(
-                    vecs[topo.rank], topo, efficient=efficient))
-            ok &= all(np.array_equal(r.values, oracle) for r in res)
-        res = coll.run_ranks(
-            p, lambda topo: coll.direct_allreduce(vecs[topo.rank], topo, q_max=7))
-        ok &= all(np.array_equal(r.values, oracle) for r in res)
-
-        reals = [rng.normal(size=n) for _ in range(p)]
-        policy = SignPolicy(mode="alternating", iteration=3)
-        sgn = [np.where(v == 0, 1, np.sign(v)).astype(np.int64) for v in reals]
-        agg = np.sum(np.stack(sgn), axis=0)
-        want = np.where(agg == 0, 1, np.sign(agg)).astype(np.int64)
-        res = coll.run_ranks(
-            p, lambda topo: coll.compressed_allreduce_1bit(
-                reals[topo.rank], topo, policy))
-        ok &= all(np.array_equal(r.values, want) for r in res)
-    return ok
-
-
-def _selftest_pack(fault: bool = False) -> bool:
-    rng = np.random.default_rng(7)
-    ok = True
-    for width in (1, 2, 4, 8):
-        hi = (1 << width) - 1
-        vals = rng.integers(0, hi + 1, size=101)
-        pb = pack(vals, width)
-        if fault and width == 4:
-            corrupted = bytearray(pb.payload)
-            corrupted[0] ^= 0xFF
-            pb = PackedBits(width=pb.width, count=pb.count, offset=pb.offset,
-                            payload=bytes(corrupted))
-        back = unpack(PackedBits.from_bytes(pb.to_bytes()))
-        ok &= np.array_equal(back, vals)
-    signs = rng.choice([-1, 1], size=77)
-    ok &= np.array_equal(unpack(pack(signs, 1, 1)), signs)
-    return ok
-
-
-def _selftest_sround() -> bool:
-    rng = np.random.default_rng(11)
-    ok = True
-    for v in (0.1, 0.25, -0.7):
-        draws = sround(np.full(200_000, v), rng)
-        se = np.sqrt(abs(v - np.floor(v)) * (1 - abs(v - np.floor(v))) / draws.size)
-        ok &= abs(draws.mean() - v) < 4 * max(se, 1e-4)
-    return ok
-
-
-def _selftest_gradients() -> bool:
-    model = MlpModel(in_dim=5, hidden=7, out_dim=2)
-    rng = np.random.default_rng(3)
-    teacher = init_mlp(model, rng)
-    student = init_mlp(model, rng)
-    x_rng = np.random.default_rng(4)
-    _, grads = teacher_student_batch(student, teacher, model, 16, x_rng)
-    eps = 1e-6
-    ok = True
-    for name in student:
-        flat = student[name]
-        for idx in rng.choice(flat.size, size=5, replace=False):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            lo_rng = np.random.default_rng(4)
-            hi, _ = teacher_student_batch(student, teacher, model, 16, lo_rng)
-            flat[idx] = orig - eps
-            lo_rng = np.random.default_rng(4)
-            lo, _ = teacher_student_batch(student, teacher, model, 16, lo_rng)
-            flat[idx] = orig
-            fd = (hi - lo) / (2 * eps)
-            scale = max(abs(fd), abs(grads[name][idx]), 1e-8)
-            ok &= abs(fd - grads[name][idx]) / scale < 1e-4
-    return ok
-
-
-def cmd_selftest(args) -> int:
-    checks = [
-        ("collectives_vs_oracle", _selftest_collectives),
-        ("pack_roundtrip", lambda: _selftest_pack(fault=args.fault_pack)),
-        ("sround_unbiasedness", _selftest_sround),
-        ("mlp_gradients", _selftest_gradients),
-    ]
-    failed = 0
-    for name, fn in checks:
-        try:
-            passed = fn()
-        except LionCommError as exc:
-            print(f"{name}: FAIL ({exc})")
-            failed += 1
-            continue
-        print(f"{name}: {'PASS' if passed else 'FAIL'}")
-        failed += 0 if passed else 1
-    return EXIT_OK if failed == 0 else 1
-
-
 # ----------------------------------------------------------------- main
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,10 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--beta", type=float, nargs="+", default=[1e-9])
     p_cost.add_argument("--word-bits", type=int, default=32)
 
-    p_self = sub.add_parser("selftest", help="quick correctness battery")
-    p_self.add_argument("--fault-pack", action="store_true",
-                        help="inject a packing fault (negative control)")
-
     return parser
 
 
@@ -240,7 +123,6 @@ def main(argv: list[str] | None = None) -> int:
         "train": cmd_train,
         "quant-bench": cmd_quant_bench,
         "costmodel": cmd_costmodel,
-        "selftest": cmd_selftest,
     }
     try:
         return handlers[args.command](args)

@@ -10,7 +10,6 @@ applies the same aggregated sign.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Union
@@ -280,56 +279,3 @@ def momentum_divergence(state: WorkerState, topo: Topology) -> dict[str, float]:
     std = np.stack(coll.allgather_f64(_fuse(moms), topo)).std(axis=0, ddof=0)
     return {n: float(s.max()) if s.size else 0.0
             for n, s in zip(names, _split(std, moms))}
-
-
-def divergence_from_momenta(momenta: list[ParamSet]) -> dict[str, float]:
-    """Single-process counterpart of ``momentum_divergence``."""
-    out: dict[str, float] = {}
-    for name in sorted(momenta[0]):
-        stacked = np.stack([m[name] for m in momenta])
-        out[name] = float(stacked.std(axis=0, ddof=0).max())
-    return out
-
-
-def save_checkpoint(path: str, state: WorkerState, h: LionHyper | None = None):
-    """Write params and momentum as little-endian float32 plus a JSON sidecar."""
-    blob = bytearray()
-    layers = []
-    for name in sorted(state.params):
-        for kind, arr in (("theta", state.params[name]),
-                          ("momentum", state.momentum[name])):
-            data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            layers.append({"name": name, "kind": kind,
-                           "shape": list(arr.shape), "offset": len(blob),
-                           "nbytes": len(data)})
-            blob.extend(data)
-    side = {
-        "layers": layers,
-        "iteration": state.iteration,
-        "hyperparameters": None if h is None else {
-            "beta1": h.beta1, "beta2": h.beta2,
-            "lr": h.lr if not callable(h.lr) else "<schedule>",
-            "weight_decay": h.weight_decay,
-        },
-    }
-    with open(path, "wb") as f:
-        f.write(bytes(blob))
-    with open(path + ".json", "w") as f:
-        json.dump(side, f, indent=2)
-
-
-def load_checkpoint(path: str) -> tuple[WorkerState, dict]:
-    with open(path + ".json") as f:
-        side = json.load(f)
-    with open(path, "rb") as f:
-        blob = f.read()
-    params: ParamSet = {}
-    momentum: ParamSet = {}
-    for entry in side["layers"]:
-        arr = np.frombuffer(
-            blob, dtype="<f4", count=entry["nbytes"] // 4,
-            offset=entry["offset"]).astype(np.float64).reshape(entry["shape"])
-        (params if entry["kind"] == "theta" else momentum)[entry["name"]] = arr
-    state = WorkerState(params=params, momentum=momentum,
-                        iteration=side["iteration"])
-    return state, side

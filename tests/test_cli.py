@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -47,15 +48,18 @@ class TestExitCodes:
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "out")]) == 2
 
-    def test_selftest_passes(self, capsys):
-        assert cli.main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
 
-    def test_selftest_fault_injection_fails(self, capsys):
-        assert cli.main(["selftest", "--fault-pack"]) == 1
-        out = capsys.readouterr().out
-        assert "pack_roundtrip" in out and "FAIL" in out
+def test_subcommands_match_readme():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"train", "quant-bench", "costmodel"}
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as f:
+        block = f.read().split("## Command line", 1)[1].split("```")[1]
+    named = [line.split()[1] for line in block.splitlines()
+             if line.startswith("lioncomm ")]
+    assert named and set(named) <= set(sub.choices)
 
 
 class TestTrainOutputs:

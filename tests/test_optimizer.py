@@ -4,16 +4,25 @@ import pytest
 from lioncomm.collectives import run_ranks
 from lioncomm.errors import CapacityError, ConfigError
 from lioncomm.optimizer import (LionHyper, SyncPolicy, WorkerState,
-                                distributed_lion_step, divergence_from_momenta,
-                                hash_params, lion_step, load_checkpoint,
+                                distributed_lion_step, hash_params, lion_step,
                                 maybe_sync_momentum, momentum_divergence,
-                                save_checkpoint, signsgd_majority_step)
+                                signsgd_majority_step)
 from lioncomm.quant import QuantSpec
 from lioncomm.transport import InprocTransport
 
 
 def run_vote(world, fn):
     return run_ranks(world, fn, transport=InprocTransport(world))
+
+
+def divergence_from_momenta(momenta):
+    """Single-process oracle for ``momentum_divergence``: per layer, the max
+    over elements of the population std across workers."""
+    out = {}
+    for name in sorted(momenta[0]):
+        stacked = np.stack([m[name] for m in momenta])
+        out[name] = float(stacked.std(axis=0, ddof=0).max())
+    return out
 
 
 def fresh_state(params):
@@ -312,27 +321,7 @@ class TestDivergence:
             assert r["w"] == pytest.approx(expect["w"])
 
 
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        s = WorkerState(params={"a": rng.normal(size=5),
-                                "b": rng.normal(size=3)},
-                        momentum={"a": rng.normal(size=5),
-                                  "b": rng.normal(size=3)},
-                        iteration=42)
-        h = LionHyper(beta1=0.9, beta2=0.99, lr=3e-4, weight_decay=0.1)
-        path = str(tmp_path / "ckpt")
-        save_checkpoint(path, s, h)
-        s2, meta = load_checkpoint(path)
-        assert s2.iteration == 42
-        for k in s.params:
-            # storage is float32: identical after one round through it
-            assert np.array_equal(s2.params[k],
-                                  s.params[k].astype(np.float32))
-            assert np.array_equal(s2.momentum[k],
-                                  s.momentum[k].astype(np.float32))
-        assert meta["hyperparameters"]["beta1"] == 0.9
-
+class TestHashParams:
     def test_hash_params_stable_and_sensitive(self):
         p = {"a": np.ones(3), "b": np.zeros(2)}
         assert hash_params(p) == hash_params(dict(reversed(list(p.items()))))

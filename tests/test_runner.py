@@ -1,7 +1,8 @@
-"""The cross-rank parameter hash of a training run, and the sign lane of
-``direct_allreduce`` on narrow inputs."""
+"""The cross-rank parameter hash of a training run, one-rank-per-call socket
+training, and the sign lane of ``direct_allreduce`` on narrow inputs."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lioncomm import runner
 from lioncomm.collectives import direct_allreduce, run_ranks
 from lioncomm.errors import CollectiveError, ConfigError
 from lioncomm.optimizer import hash_params
+from test_frames import free_base_port
 
 SMALL = {"train": {"steps": 3, "clients": 2}, "metrics_every": 1}
 
@@ -36,6 +38,33 @@ def test_diverged_ranks_raise_collective_error(monkeypatch):
     with pytest.raises(CollectiveError) as err:
         runner.run_training(runner.RunConfig.from_dict(SMALL))
     assert err.value.rank == 1
+
+
+def test_rank_per_call_socket_run_matches_inproc(tmp_path):
+    """``run_training_rank`` (``lioncomm train --rank R``) for every rank,
+    each in its own thread over sockets, gives rank 0's inproc metrics."""
+    cfg = runner.RunConfig.from_dict({
+        "train": {"steps": 10, "clients": 3}, "quant": {"kind": "sign"},
+        "algo": "compressed1bit", "metrics_every": 1})
+    base = free_base_port(world=3)
+    results = [None] * 3
+
+    def rank_main(rank):
+        results[rank] = runner.run_training_rank(
+            cfg, rank, str(tmp_path / "socket") if rank == 0 else None, base)
+
+    threads = [threading.Thread(target=rank_main, args=(r,), daemon=True)
+               for r in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert all(r is not None for r in results)
+    inproc = runner.run_training(cfg, out_dir=str(tmp_path / "inproc"))
+    assert ((tmp_path / "socket" / "metrics.csv").read_bytes()
+            == (tmp_path / "inproc" / "metrics.csv").read_bytes())
+    assert {r["final_params_hash"] for r in results} == {
+        inproc["final_params_hash"]}
 
 
 @pytest.mark.parametrize("world", [1, 2, 3])

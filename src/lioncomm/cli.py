@@ -39,13 +39,10 @@ def cmd_train(args) -> int:
         doc.setdefault("train", {})["clients"] = args.world
     cfg = runner.RunConfig.from_dict(doc)
     out = args.out or "out"
-    if args.transport == "socket" and args.rank is not None:
-        runner.run_training_rank(cfg, args.rank, out if args.rank == 0 else None,
-                                 args.port)
-    else:
-        runner.run_training(cfg, out_dir=out, transport=args.transport,
-                            base_port=args.port)
-    print(f"wrote {os.path.join(out, 'metrics.csv')} and report.json")
+    runner.run_training(cfg, out_dir=out, transport=args.transport,
+                        base_port=args.port, rank=args.rank)
+    if not args.rank:
+        print(f"wrote {os.path.join(out, 'metrics.csv')} and report.json")
     return EXIT_OK
 
 
@@ -98,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--world", type=int, default=None,
                          help="worker count (overrides config)")
     p_train.add_argument("--rank", type=int, default=None,
-                         help="socket mode: run only this rank in this process")
+                         help="run only this rank in this process (socket transport)")
     p_train.add_argument("--port", type=int, default=29400)
 
     p_bench = sub.add_parser("quant-bench", help="quantizer sign match/flip rates")

@@ -18,7 +18,7 @@ the missing peer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class VoteResult:
     """Aggregate returned by a vote collective, identical at every rank."""
 
     values: np.ndarray
-    range: tuple[float, float]
-    ties: int = field(default=0)
+    ties: int = 0
 
 
 def _codec(dtype):
@@ -179,9 +178,7 @@ def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteRes
         else:
             total = decode(topo.recv(0, TAG_BCAST, gen))
 
-    ties = int(np.count_nonzero(total == 0))
-    bound = float(np.max(np.abs(total))) if total.size else 0.0
-    return VoteResult(values=total, range=(-bound, bound), ties=ties)
+    return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
 
 
 def choose_lane_bits(workers: int, q_max: int, binary_signs: bool = False) -> int:
@@ -260,14 +257,8 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
             chunks[recv_idx] = decode(topo.recv(left, TAG_RING_AG, gen))
 
     summed = np.concatenate(chunks).astype(np.int64)[:n]
-    if binary_signs:
-        signed = 2 * summed - p
-        bound = p
-    else:
-        signed = summed - p * offset
-        bound = p * q_max
-    ties = int(np.count_nonzero(signed == 0))
-    return VoteResult(values=signed, range=(-float(bound), float(bound)), ties=ties)
+    signed = 2 * summed - p if binary_signs else summed - p * offset
+    return VoteResult(values=signed, ties=int(np.count_nonzero(signed == 0)))
 
 
 def compressed_allreduce_1bit(c_i, topo: Topology,
@@ -321,7 +312,7 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
 
     total_ties = sum(t for t, _ in gathered)
     full = np.concatenate([v for _, v in gathered])[:n]
-    return VoteResult(values=full, range=(-1.0, 1.0), ties=total_ties)
+    return VoteResult(values=full, ties=total_ties)
 
 
 def majority_sign(agg, policy: SignPolicy) -> np.ndarray:

@@ -10,6 +10,7 @@ wall-clock breakdown.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -82,10 +83,8 @@ class RunConfig:
             algo = cfg["algo"]
             if algo not in VOTE_ALGOS:
                 raise ConfigError(f"unknown algo {algo!r}")
-            sync_layers = cfg["sync"]["layers"]
-            if isinstance(sync_layers, list):
-                sync_layers = frozenset(sync_layers)
-            sync = SyncPolicy(period=cfg["sync"]["period"], layers=sync_layers)
+            sync = SyncPolicy(period=cfg["sync"]["period"],
+                              layers=cfg["sync"]["layers"])
             noise_doc = dict(cfg["noise"])
             noise_doc.setdefault("per_client_seed", cfg["seed"] + 1000)
             noise = NoiseSpec(**noise_doc)
@@ -232,45 +231,49 @@ def write_outputs(out_dir: str, cfg: RunConfig, result: dict,
     return report
 
 
-def run_training(cfg: RunConfig, out_dir: str | None = None,
-                 transport: str = "inproc", base_port: int = 29400) -> dict:
-    """Run the configured training on P in-process workers.
-
-    Returns rank 0's result dict; writes metrics.csv/report.json when
-    ``out_dir`` is given.  Raises ``CollectiveError`` if the ranks end
-    with different parameters.
-    """
-    world = cfg.clients
-    if transport == "inproc":
-        results = run_ranks(world, lambda topo: train_worker(topo, cfg))
-    elif transport == "socket":
-        results = run_ranks(
-            world, lambda topo: train_worker(topo, cfg),
-            transport_factory=lambda rank: SocketTransport(
-                world, rank, base_port=base_port))
-    else:
-        raise ConfigError(f"unknown transport {transport!r}")
-    for rank, r in enumerate(results):
-        if r["final_params_hash"] != results[0]["final_params_hash"]:
+def _train_rank(topo: Topology, cfg: RunConfig) -> dict:
+    """``train_worker``, then an in-band check that every rank ends with
+    rank 0's parameters: an allgather of the SHA-256 digests as eight
+    exact u32 words.  Every rank raises the same ``CollectiveError``,
+    naming the first rank that differs."""
+    result = train_worker(topo, cfg)
+    words = np.frombuffer(bytes.fromhex(result["final_params_hash"]), dtype="<u4")
+    digests = coll.allgather_f64(words, topo)
+    for rank, digest in enumerate(digests):
+        if not np.array_equal(digest, digests[0]):
             raise CollectiveError("parameters differ from rank 0's at the end "
                                   "of training", rank=rank, phase="final hash")
-    result = results[0]
-    if out_dir is not None:
-        write_outputs(out_dir, cfg, result, world, transport)
     return result
 
 
-def run_training_rank(cfg: RunConfig, rank: int, out_dir: str | None,
-                      base_port: int) -> dict:
-    """Run a single rank over sockets (one process per rank)."""
-    tp = SocketTransport(cfg.clients, rank, base_port=base_port)
-    try:
-        topo = Topology(world_size=cfg.clients, rank=rank, transport=tp)
-        result = train_worker(topo, cfg)
-    finally:
-        tp.close()
-    if rank == 0 and out_dir is not None:
-        write_outputs(out_dir, cfg, result, cfg.clients, "socket")
+def run_training(cfg: RunConfig, out_dir: str | None = None,
+                 transport: str = "inproc", base_port: int = 29400,
+                 rank: int | None = None) -> dict:
+    """Run the configured training on P workers: all as threads of this
+    process, or only ``rank`` (socket transport; start one process per
+    rank).  Returns rank 0's result, or ``rank``'s; rank 0 writes
+    metrics.csv/report.json when ``out_dir`` is given.  Raises
+    ``CollectiveError`` at every rank if the ranks end with different
+    parameters.
+    """
+    world = cfg.clients
+    if transport == "inproc":
+        factory = None
+    elif transport == "socket":
+        def factory(r):
+            return SocketTransport(world, r, base_port=base_port)
+    else:
+        raise ConfigError(f"unknown transport {transport!r}")
+    if rank is None:
+        result = run_ranks(world, lambda topo: _train_rank(topo, cfg),
+                           transport_factory=factory)[0]
+    elif factory is None:
+        raise ConfigError("a single rank needs the socket transport")
+    else:
+        with contextlib.closing(factory(rank)) as tp:
+            result = _train_rank(Topology(world, rank, tp), cfg)
+    if out_dir is not None and not rank:
+        write_outputs(out_dir, cfg, result, world, transport)
     return result
 
 

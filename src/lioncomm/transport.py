@@ -92,6 +92,8 @@ class SocketTransport(InprocTransport):
     def __init__(self, world_size: int, rank: int, host: str = "127.0.0.1",
                  base_port: int = 29400, connect_timeout: float = DEFAULT_TIMEOUT):
         super().__init__(world_size)
+        if not 0 <= rank < world_size:
+            raise ConfigError(f"rank {rank} outside world {world_size}")
         self.rank = rank
         self._socks: dict[int, socket.socket] = {}
         self._lock = threading.Lock()
@@ -138,6 +140,10 @@ class SocketTransport(InprocTransport):
                     raise CollectiveError(
                         f"a higher-ranked peer did not connect: {exc}",
                         phase="accept") from exc
+                if not rank < peer < world_size or peer in self._socks:
+                    raise CollectiveError(
+                        f"a connecting peer sent rank header {peer}",
+                        phase="accept")
                 self._socks[peer] = conn
             opened.pop_all()  # set-up succeeded: keep every socket open
         for s in self._socks.values():

@@ -2,13 +2,17 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lioncomm
 from lioncomm import cli, runner
 from lioncomm.optimizer import WorkerState, lion_step
 from lioncomm.workloads import init_mlp, teacher_student_batch
+from test_frames import free_base_port
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -47,6 +51,49 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, {"quant": {"kind": "fft"}})
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("rank_args", [
+        ["--rank", "1"],                              # no socket transport
+        ["--transport", "socket", "--rank", "2"],     # outside a world of 2
+        ["--transport", "socket", "--rank", "-1"],
+    ])
+    def test_unusable_rank_exits_2(self, tmp_path, rank_args):
+        cfgp = write_config(tmp_path, SMALL_TRAIN)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", cfgp, "--out", str(out),
+                         "--port", str(free_base_port(world=3))]
+                        + rank_args) == 2
+        assert not out.exists()
+
+
+def test_rank_processes_match_inproc(tmp_path):
+    """``lioncomm train --transport socket --rank R``, one process per
+    rank: both exit 0, and rank 0 alone writes (and says it wrote) the
+    inproc run's metrics."""
+    cfgp = write_config(tmp_path, SMALL_TRAIN)
+    base = free_base_port(world=2)
+    src = os.path.dirname(os.path.dirname(lioncomm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "lioncomm.cli", "train", "--config", cfgp,
+         "--transport", "socket", "--rank", str(rank), "--port", str(base),
+         "--out", str(tmp_path / f"rank{rank}")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for rank in (0, 1)]
+    try:
+        outs = [p.communicate(timeout=60) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+    assert [p.returncode for p in procs] == [0, 0], outs
+    assert "wrote" in outs[0][0] and outs[1][0] == ""
+    assert cli.main(["train", "--config", cfgp,
+                     "--out", str(tmp_path / "inproc")]) == 0
+    assert ((tmp_path / "rank0" / "metrics.csv").read_bytes()
+            == (tmp_path / "inproc" / "metrics.csv").read_bytes())
+    assert not (tmp_path / "rank1").exists()
 
 
 def test_subcommands_match_readme():

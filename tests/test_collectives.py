@@ -338,5 +338,5 @@ class TestMajoritySign:
 
     def test_accepts_vote_result(self):
         policy = SignPolicy("alternating", iteration=1)
-        vote = VoteResult(values=np.array([0, 2]), range=(-2, 2), ties=1)
+        vote = VoteResult(values=np.array([0, 2]), ties=1)
         assert majority_sign(vote, policy).tolist() == [1, 1]

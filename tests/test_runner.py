@@ -41,7 +41,7 @@ def test_diverged_ranks_raise_collective_error(monkeypatch):
 
 
 def test_rank_per_call_socket_run_matches_inproc(tmp_path):
-    """``run_training_rank`` (``lioncomm train --rank R``) for every rank,
+    """``run_training(rank=R)`` (``lioncomm train --rank R``) for every rank,
     each in its own thread over sockets, gives rank 0's inproc metrics."""
     cfg = runner.RunConfig.from_dict({
         "train": {"steps": 10, "clients": 3}, "quant": {"kind": "sign"},
@@ -50,8 +50,9 @@ def test_rank_per_call_socket_run_matches_inproc(tmp_path):
     results = [None] * 3
 
     def rank_main(rank):
-        results[rank] = runner.run_training_rank(
-            cfg, rank, str(tmp_path / "socket") if rank == 0 else None, base)
+        results[rank] = runner.run_training(
+            cfg, str(tmp_path / "socket") if rank == 0 else None, "socket",
+            base, rank=rank)
 
     threads = [threading.Thread(target=rank_main, args=(r,), daemon=True)
                for r in range(3)]
@@ -65,6 +66,39 @@ def test_rank_per_call_socket_run_matches_inproc(tmp_path):
             == (tmp_path / "inproc" / "metrics.csv").read_bytes())
     assert {r["final_params_hash"] for r in results} == {
         inproc["final_params_hash"]}
+
+
+def test_diverged_rank_processes_raise_collective_error(monkeypatch):
+    """The final-hash check runs in-band: with one ``run_training(rank=R)``
+    per rank, every rank learns that rank 1 diverged."""
+    real = runner.train_worker
+
+    def diverging(topo, cfg):
+        result = real(topo, cfg)
+        if topo.rank == 1:
+            result["final_params_hash"] = "0" * 64
+        return result
+
+    monkeypatch.setattr(runner, "train_worker", diverging)
+    cfg = runner.RunConfig.from_dict(SMALL)
+    base = free_base_port(world=2)
+    errors = [None, None]
+
+    def rank_main(rank):
+        try:
+            runner.run_training(cfg, transport="socket", base_port=base, rank=rank)
+        except CollectiveError as exc:
+            errors[rank] = exc
+
+    threads = [threading.Thread(target=rank_main, args=(r,), daemon=True)
+               for r in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert all(e is not None for e in errors)
+    assert [(e.rank, e.phase) for e in errors] == [(1, "final hash")] * 2
 
 
 @pytest.mark.parametrize("world", [1, 2, 3])
@@ -83,7 +117,7 @@ def test_direct_binary_lane_takes_int8_signs(world):
     for wide, narrow in run_ranks(world, fn):
         assert np.array_equal(narrow.values, expect)
         assert narrow.values.dtype == wide.values.dtype
-        assert (narrow.ties, narrow.range) == (wide.ties, wide.range)
+        assert narrow.ties == wide.ties
         assert narrow.ties == int(np.count_nonzero(expect == 0))
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from lioncomm.collectives import (Topology, allgather_f64, direct_allreduce,
                                   ps_gather_broadcast, run_ranks)
-from lioncomm.errors import CollectiveError
+from lioncomm.errors import CollectiveError, ConfigError
 from lioncomm.transport import FRAME_HEADER, SocketTransport
 
 
@@ -169,3 +169,49 @@ def test_many_readers_under_fast_thread_switching():
         assert time.monotonic() - t0 < 10
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("rank", [2, -1])
+def test_rank_outside_world_is_a_config_error(rank):
+    t0 = time.monotonic()
+    with pytest.raises(ConfigError):
+        SocketTransport(2, rank, base_port=free_base_port(), connect_timeout=0.5)
+    assert time.monotonic() - t0 < 0.5  # rejected before any bind or dial
+
+
+@pytest.mark.parametrize("world, headers", [(2, [5]), (2, [0]), (3, [1, 1])],
+                         ids=["outside_world", "not_above_acceptor", "repeated"])
+def test_bad_rank_header_is_rejected_and_closed(world, headers):
+    """Rank 0 fails set-up when raw connections send ``headers`` as their
+    4-byte rank headers, and closes every one of them."""
+    base = free_base_port(world)
+    caught = []
+
+    def listen():
+        try:
+            SocketTransport(world, 0, base_port=base, connect_timeout=5).close()
+        except CollectiveError as exc:
+            caught.append(exc)
+
+    listener = threading.Thread(target=listen)
+    listener.start()
+    clients = []
+    try:
+        for header in headers:
+            t0 = time.monotonic()
+            while True:
+                try:
+                    client = socket.create_connection(("127.0.0.1", base), timeout=5)
+                    break
+                except ConnectionRefusedError:
+                    assert time.monotonic() - t0 < 5
+                    time.sleep(0.02)
+            clients.append(client)
+            client.sendall(struct.pack("<i", header))
+        listener.join(timeout=10)
+        assert not listener.is_alive()
+        assert [e.phase for e in caught] == ["accept"]
+        assert all(c.recv(1) == b"" for c in clients)
+    finally:
+        for c in clients:
+            c.close()

@@ -4,8 +4,9 @@ Four ways to obtain the aggregated update at every rank:
 
 * ``ps_gather_broadcast`` -- parameter-server style: gather at rank 0,
   sum, broadcast (flat sends or binomial trees).
-* ``direct_allreduce`` -- offset values into an unsigned integer lane and
-  run a ring reduce-scatter + allgather; the exact sum comes back.
+* ``direct_allreduce`` -- integers summed in a signed lane sized by
+  ``choose_lane_bits``, over a ring reduce-scatter + allgather; the exact
+  sum comes back.
 * ``compressed_allreduce_1bit`` -- signs only: all-to-all of 1-bit chunks,
   local majority per chunk, 1-bit allgather of the result.
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
@@ -36,7 +37,7 @@ TAG_SIGN_AG = 6
 TAG_REDUCE = 7
 TAG_ALLGATHER = 8
 
-LANE_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32}
+LANE_DTYPES = {8: np.int8, 16: np.int16, 32: np.int32}
 
 
 @dataclass
@@ -181,58 +182,48 @@ def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteRes
     return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
 
 
-def choose_lane_bits(workers: int, q_max: int, binary_signs: bool = False) -> int:
-    """Smallest lane in {8, 16, 32} whose unsigned range holds the worst-case sum."""
-    max_stored = 1 if binary_signs else 2 * q_max
-    need = workers * max_stored
-    for bits in (8, 16, 32):
-        if need <= (1 << bits) - 1:
+def choose_lane_bits(workers: int, q_max: int) -> int:
+    """Narrowest signed lane in {8, 16, 32} whose maximum holds the
+    worst-case sum ``workers * q_max``."""
+    need = workers * q_max
+    for bits, dtype in LANE_DTYPES.items():
+        if need <= np.iinfo(dtype).max:
             return bits
     raise CapacityError(
-        f"sum of {workers} values up to {max_stored} exceeds a 32-bit lane")
+        f"sum of {workers} values up to {q_max} exceeds a 32-bit lane")
 
 
 def direct_allreduce(q_i, topo: Topology, q_max: int,
-                     lane_bits: int | None = None,
-                     binary_signs: bool = False) -> VoteResult:
+                     lane_bits: int | None = None) -> VoteResult:
     """Exact elementwise sum across ranks via ring reduce-scatter + allgather.
 
-    Values are offset into [0, 2*q_max] (or mapped {-1,+1} -> {0,1} when
-    ``binary_signs``) and summed in an unsigned lane; the capacity check
-    runs before any communication.  ``q_max`` must be the declared range
-    of the quantizer, identical at every rank.
+    Integers in [-q_max, q_max] are summed in the signed lane that
+    ``choose_lane_bits`` picks; the dtype, range and capacity checks run
+    in the input's own dtype, before any communication.  ``q_max`` must be
+    the declared range of the quantizer, identical at every rank.
     """
     p = topo.world_size
-    max_stored = 1 if binary_signs else 2 * q_max
-    if lane_bits is None:
-        lane_bits = choose_lane_bits(p, q_max, binary_signs)
+    need = choose_lane_bits(p, q_max)
+    lane_bits = need if lane_bits is None else lane_bits
     if lane_bits not in LANE_DTYPES:
         raise ConfigError(f"lane_bits must be one of {sorted(LANE_DTYPES)}")
-    if p * max_stored > (1 << lane_bits) - 1:
+    if lane_bits < need:
         raise CapacityError(
-            f"{p} workers x stored range [0, {max_stored}] exceeds the "
-            f"{lane_bits}-bit lane")
+            f"{p} workers x values up to {q_max} need a {need}-bit lane, "
+            f"not {lane_bits}")
 
-    if binary_signs:
-        # Checked and mapped in the input dtype: int8 signs are never widened.
-        q = np.asarray(q_i).ravel()
-        if np.any((q != 1) & (q != -1)):
-            raise ConfigError("binary_signs requires values in {-1, +1}")
-        stored = q > 0
-        offset = 0
-    else:
-        q = np.asarray(q_i, dtype=np.int64).ravel()
-        if np.any(np.abs(q) > q_max):
-            raise ConfigError(f"values exceed declared q_max={q_max}")
-        stored = q + q_max
-        offset = q_max
+    q = np.asarray(q_i).ravel()
+    if q.dtype.kind not in "iu":
+        raise ConfigError(f"direct allreduce sums integers, not {q.dtype}")
+    if np.any((q < -q_max) | (q > q_max)):
+        raise ConfigError(f"values exceed declared q_max={q_max}")
 
     dtype = LANE_DTYPES[lane_bits]
     encode, decode = _codec(dtype)
-    n = stored.size
+    n = q.size
     chunk = -(-n // p)  # ceil
     padded = np.zeros(chunk * p, dtype=dtype)
-    padded[:n] = stored
+    padded[:n] = q
     chunks = [padded[i * chunk:(i + 1) * chunk] for i in range(p)]
 
     gen = topo.next_generation()
@@ -256,9 +247,8 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
             topo.send(right, TAG_RING_AG, encode(chunks[send_idx]), gen)
             chunks[recv_idx] = decode(topo.recv(left, TAG_RING_AG, gen))
 
-    summed = np.concatenate(chunks).astype(np.int64)[:n]
-    signed = 2 * summed - p if binary_signs else summed - p * offset
-    return VoteResult(values=signed, ties=int(np.count_nonzero(signed == 0)))
+    summed = np.concatenate(chunks)[:n].astype(np.int64)
+    return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
 
 
 def compressed_allreduce_1bit(c_i, topo: Topology,
@@ -294,9 +284,8 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     received = [mine[r] if b is None else unpack(PackedBits.from_bytes(b))
                 for b in raw]
 
-    # A sum of P signs fits int8 up to P = 127.
     chunk_sum = np.sum(np.stack(received), axis=0,
-                       dtype=np.int8 if p <= 127 else np.int32)
+                       dtype=LANE_DTYPES[choose_lane_bits(p, 1)])
     local_ties = int(np.count_nonzero(chunk_sum == 0))
     voted = apply_sign(chunk_sum, policy)
     if np.any(voted == 0):

@@ -138,8 +138,7 @@ VOTE_ALGOS = {
     "ps_efficient": lambda b, topo, spec, policy: coll.ps_gather_broadcast(
         b, topo, efficient=True),
     "direct": lambda b, topo, spec, policy: coll.direct_allreduce(
-        b, topo, q_max=1 if spec.bits == 1 else spec.qmax,
-        binary_signs=spec.bits == 1),
+        b, topo, q_max=1 if spec.bits == 1 else spec.qmax),
     "compressed1bit": lambda b, topo, spec, policy:
         coll.compressed_allreduce_1bit(b, topo, policy),
 }

@@ -85,16 +85,23 @@ class RunConfig:
                 raise ConfigError(f"unknown algo {algo!r}")
             sync = SyncPolicy(period=cfg["sync"]["period"],
                               layers=cfg["sync"]["layers"])
+            if not isinstance(sync.layers, str):
+                unknown = sorted(sync.layers - set(model.layer_sizes))
+                if unknown:
+                    raise ConfigError(f"sync.layers names no layer: {unknown}")
             noise_doc = dict(cfg["noise"])
             noise_doc.setdefault("per_client_seed", cfg["seed"] + 1000)
             noise = NoiseSpec(**noise_doc)
             steps = int(tr["steps"])
             if steps < 1:
                 raise ConfigError("steps must be >= 1")
+            metrics_every = int(cfg["metrics_every"])
+            if metrics_every < 1:
+                raise ConfigError("metrics_every must be >= 1")
             return cls(model=model, steps=steps, batch_size=int(tr["batch_size"]),
                        clients=int(tr["clients"]), hyper=hyper, quant=quant,
                        algo=algo, sync=sync, noise=noise, seed=int(cfg["seed"]),
-                       metrics_every=int(cfg["metrics_every"]), raw=cfg)
+                       metrics_every=metrics_every, raw=cfg)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid run config: {exc}") from exc
 
@@ -341,6 +348,8 @@ def run_quant_bench(doc: dict) -> list[dict]:
     try:
         d = int(doc.get("d", 100_000))
         workers = int(doc.get("workers", 8))
+        if workers < 1:
+            raise ConfigError("quant-bench needs workers >= 1")
         bits = int(doc.get("bits", 8))
         seed = int(doc.get("seed", 0))
         dist = doc.get("dist", "laplace_with_outliers")

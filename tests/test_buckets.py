@@ -48,9 +48,8 @@ def per_layer_vote(c, spec, topo, algo, policy, rng):
     if algo in ("ps", "ps_efficient"):
         vote = ps_gather_broadcast(q, topo, efficient=algo == "ps_efficient")
     else:
-        binary = spec.bits == 1
-        vote = direct_allreduce(q, topo, q_max=1 if binary else spec.qmax,
-                                binary_signs=binary)
+        vote = direct_allreduce(q, topo,
+                                q_max=1 if spec.bits == 1 else spec.qmax)
     return majority_sign(vote, policy), vote
 
 

@@ -42,9 +42,17 @@ class TestExitCodes:
         assert cli.main(["train", "--config", cfgp,
                          "--out", str(tmp_path / "out")]) == 0
 
-    def test_bad_config_exits_2(self, tmp_path):
-        cfgp = write_config(tmp_path, {"algo": "telepathy"})
-        assert cli.main(["train", "--config", cfgp,
+    @pytest.mark.parametrize("command,doc", [
+        ("train", {"algo": "telepathy"}),
+        ("train", {**SMALL_TRAIN, "metrics_every": 0}),
+        ("train", {**SMALL_TRAIN, "metrics_every": -1}),
+        ("train", {**SMALL_TRAIN, "sync": {"period": 5, "layers": ["hed"]}}),
+        ("quant-bench", {"workers": 0}),
+    ], ids=["unknown-algo", "metrics-every-0", "metrics-every-negative",
+            "unknown-sync-layer", "quant-bench-no-workers"])
+    def test_bad_config_exits_2(self, tmp_path, command, doc):
+        cfgp = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", cfgp,
                          "--out", str(tmp_path / "out")]) == 2
 
     def test_bad_quant_kind_exits_2(self, tmp_path):

@@ -100,8 +100,7 @@ class TestDirectAllreduce:
         expect = sum_oracle(vecs)
 
         def fn(topo):
-            return direct_allreduce(vecs[topo.rank], topo, q_max=1,
-                                    binary_signs=True)
+            return direct_allreduce(vecs[topo.rank], topo, q_max=1)
 
         for r in run_vote(4, fn):
             assert np.array_equal(r.values, expect)
@@ -133,10 +132,10 @@ class TestDirectAllreduce:
         assert all(q.empty() for q in transport._queues.values())
 
     def test_choose_lane_bits(self):
-        assert choose_lane_bits(8, 15) == 8   # 8 * 30 = 240 fits one byte
+        assert choose_lane_bits(8, 15) == 8   # 8 * 15 = 120 fits int8
         assert choose_lane_bits(125, 15) == 16
         assert choose_lane_bits(2, 7) == 8
-        assert choose_lane_bits(125, 1, binary_signs=True) == 8
+        assert choose_lane_bits(125, 1) == 8
         with pytest.raises(CapacityError):
             choose_lane_bits(10 ** 9, 127)
 
@@ -144,6 +143,23 @@ class TestDirectAllreduce:
         def fn(topo):
             return direct_allreduce(np.array([9], dtype=np.int64), topo,
                                     q_max=7)
+
+        with pytest.raises(ConfigError):
+            run_vote(2, fn)
+
+    def test_float_input_rejected(self):
+        # Not truncated to [0, 0, 1] per rank.
+        def fn(topo):
+            return direct_allreduce(np.array([0.9, -0.9, 1.0]), topo, q_max=1)
+
+        with pytest.raises(ConfigError):
+            run_vote(2, fn)
+
+    def test_int8_minimum_is_out_of_range(self):
+        # -128 is checked without np.abs, which wraps it to -128 in int8.
+        def fn(topo):
+            return direct_allreduce(np.array([5, -128], dtype=np.int8), topo,
+                                    q_max=127)
 
         with pytest.raises(ConfigError):
             run_vote(2, fn)
@@ -313,8 +329,8 @@ class TestSocketTransportParity:
 
         def fn(topo):
             if algo == "direct":
-                return direct_allreduce(signs[topo.rank], topo, q_max=1,
-                                        binary_signs=True).values
+                return direct_allreduce(signs[topo.rank], topo,
+                                        q_max=1).values
             if algo == "compressed":
                 vote = compressed_allreduce_1bit(signs[topo.rank].astype(float),
                                                  topo, policy)

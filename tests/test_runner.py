@@ -108,9 +108,9 @@ def test_direct_binary_lane_takes_int8_signs(world):
 
     def fn(topo):
         wide = direct_allreduce(signs[topo.rank].astype(np.int64), topo,
-                                q_max=1, binary_signs=True)
+                                q_max=1)
         narrow = direct_allreduce(signs[topo.rank].astype(np.int8), topo,
-                                  q_max=1, binary_signs=True)
+                                  q_max=1)
         return wide, narrow
 
     expect = np.sum(signs, axis=0)
@@ -121,13 +121,13 @@ def test_direct_binary_lane_takes_int8_signs(world):
         assert narrow.ties == int(np.count_nonzero(expect == 0))
 
 
-@pytest.mark.parametrize("bad", [0, 2, -2])
+@pytest.mark.parametrize("bad", [2, -2])
 def test_direct_binary_lane_rejects_non_signs(bad):
     q = np.ones(5, dtype=np.int8)
     q[3] = bad
 
     def fn(topo):
-        return direct_allreduce(q, topo, q_max=1, binary_signs=True)
+        return direct_allreduce(q, topo, q_max=1)
 
     with pytest.raises(ConfigError):
         run_ranks(2, fn)

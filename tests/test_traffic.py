@@ -12,7 +12,7 @@ import pytest
 from lioncomm.collectives import (allgather_f64, allreduce_mean_f32,
                                   compressed_allreduce_1bit, direct_allreduce,
                                   ps_gather_broadcast, run_ranks)
-from lioncomm.quant import SignPolicy
+from lioncomm.quant import SignPolicy, apply_sign
 from lioncomm.transport import InprocTransport
 
 POLICY = SignPolicy("alternating", iteration=1)
@@ -27,6 +27,8 @@ CALLS = {
     "ps_efficient": lambda x, topo: ps_gather_broadcast(ints(x), topo,
                                                         efficient=True),
     "direct": lambda x, topo: direct_allreduce(ints(x), topo, q_max=7),
+    "direct_signs": lambda x, topo: direct_allreduce(apply_sign(x, POLICY),
+                                                     topo, q_max=1),
     "compressed1bit": lambda x, topo: compressed_allreduce_1bit(x, topo, POLICY),
     "allreduce_mean_f32": allreduce_mean_f32,
     "allgather_f64": allgather_f64,
@@ -62,6 +64,15 @@ TRAFFIC = {
     ('direct', 4, 1): ([6, 6, 6, 6], [6, 6, 6, 6]),
     ('direct', 4, 7): ([6, 6, 6, 6], [12, 12, 12, 12]),
     ('direct', 4, 1000): ([6, 6, 6, 6], [1500, 1500, 1500, 1500]),
+    ('direct_signs', 2, 1): ([2, 2], [2, 2]),
+    ('direct_signs', 2, 7): ([2, 2], [8, 8]),
+    ('direct_signs', 2, 1000): ([2, 2], [1000, 1000]),
+    ('direct_signs', 3, 1): ([4, 4, 4], [4, 4, 4]),
+    ('direct_signs', 3, 7): ([4, 4, 4], [12, 12, 12]),
+    ('direct_signs', 3, 1000): ([4, 4, 4], [1336, 1336, 1336]),
+    ('direct_signs', 4, 1): ([6, 6, 6, 6], [6, 6, 6, 6]),
+    ('direct_signs', 4, 7): ([6, 6, 6, 6], [12, 12, 12, 12]),
+    ('direct_signs', 4, 1000): ([6, 6, 6, 6], [1500, 1500, 1500, 1500]),
     ('compressed1bit', 2, 1): ([2, 2], [24, 24]),
     ('compressed1bit', 2, 7): ([2, 2], [24, 24]),
     ('compressed1bit', 2, 1000): ([2, 2], [148, 148]),

@@ -49,3 +49,24 @@ def test_collective_is_looked_up_on_the_module_at_call_time(monkeypatch,
     run_ranks(2, lambda topo: distributed_lion_step(START, GRAD, H, spec,
                                                     topo, algo))
     assert calls == [name, name]
+
+
+@pytest.mark.parametrize("world", [2, 3, 4])
+def test_direct_keeps_exact_ternary_sign_votes_like_ps(world):
+    rng = np.random.default_rng(world)
+    grads = [{n: rng.integers(-1, 2, size=v.size).astype(float)
+              for n, v in START.params.items()} for _ in range(world)]
+    for g in grads:
+        g["a"][0] = 0.0  # a zero at every rank: a zero vote
+    spec = QuantSpec(bits=1)
+
+    def step(algo):
+        return run_ranks(world, lambda topo: distributed_lion_step(
+            START, grads[topo.rank], H, spec, topo, algo,
+            zero_mode="exact-ternary"))
+
+    direct, ps = step("direct"), step("ps")
+    for d, p in zip(direct, ps):
+        for name in START.params:
+            assert np.array_equal(d.params[name], p.params[name])
+    assert direct[0].params["a"][0] == 0.0

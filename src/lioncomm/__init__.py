@@ -12,9 +12,8 @@ from .optimizer import (LionHyper, SyncPolicy, WorkerState,
                         distributed_lion_step, lion_step,
                         maybe_sync_momentum, momentum_divergence,
                         signsgd_majority_step)
-from .quant import (PackedBits, QuantSpec, SignPolicy, apply_sign,
-                    INF, dequantize, lp_mean_norm, pack, quantize, sround,
-                    unpack)
+from .quant import (QuantSpec, SignPolicy, apply_sign, INF, dequantize,
+                    lp_mean_norm, pack, quantize, sround, unpack)
 from .transport import InprocTransport, SocketTransport
 from .workloads import (MlpModel, NoiseSpec, init_mlp, noisy_client_grads,
                         sample_alpha_stable, synth_update_vectors,

@@ -12,9 +12,16 @@ Four ways to obtain the aggregated update at every rank:
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
   momentum synchronization, not votes).
 
-All collectives are synchronous rendezvous points: every rank of the
-topology must call with an equal-length vector, or a timeout error names
-the missing peer.
+Every frame is a bare little-endian array: lane or float words, or
+``quant.pack`` sign bits (the 1-bit stage-2 frame puts a 4-byte tie count
+in front).  All collectives are synchronous rendezvous points, and
+``Topology.recv`` is their one lockstep check: a frame of the wrong
+generation, tag or byte length raises ``CollectiveError`` naming the
+sender, and a peer that never sends raises one after the timeout.  No
+element count is sent, so vectors of different lengths whose frames have
+the same byte length pass (``direct`` at P=4 with N=7 and N=8);
+``run_training``'s final parameter hash check still catches ranks that
+end up different.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, CollectiveError, ConfigError
-from .quant import PackedBits, SignPolicy, apply_sign, pack, unpack
+from .quant import SignPolicy, apply_sign, pack, unpack
 from .transport import DEFAULT_TIMEOUT, InprocTransport, Transport
 
 # Tags distinguish phases within one collective generation.
@@ -61,15 +68,21 @@ class Topology:
     def send(self, dst: int, tag: int, payload: bytes, generation: int):
         self.transport.send(self.rank, dst, generation, tag, payload)
 
-    def recv(self, src: int, tag: int, generation: int) -> bytes:
+    def recv(self, src: int, tag: int, generation: int, size: int) -> bytes:
         """Payload of the next frame from ``src``, which must carry this
-        generation and tag: the collectives run in lockstep."""
+        generation and tag and be ``size`` bytes long: the collectives run
+        in lockstep."""
         got_gen, got_tag, payload = self.transport.recv(
             self.rank, src, generation, tag, self.timeout)
         if (got_gen, got_tag) != (generation, tag):
             raise CollectiveError(
                 f"message mismatch: expected gen={generation} tag={tag}, "
                 f"got gen={got_gen} tag={got_tag}", rank=src)
+        if len(payload) != size:
+            raise CollectiveError(
+                f"length mismatch: frame is {len(payload)} bytes, "
+                f"expected {size}", rank=src, generation=generation,
+                phase=f"tag {tag}")
         return payload
 
 
@@ -94,35 +107,36 @@ def _codec(dtype):
     return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(), decode)
 
 
-def _exchange(topo: Topology, tag: int, gen: int, payloads) -> list:
+def _exchange(topo: Topology, tag: int, gen: int, payloads, size: int) -> list:
     """Send ``payloads[j]`` to every rank j but this one, then receive one
-    frame from each in rank order; this rank's slot comes back None."""
+    ``size``-byte frame from each in rank order; this rank's slot comes
+    back None."""
     peers = [j for j in range(topo.world_size) if j != topo.rank]
     for j in peers:
         topo.send(j, tag, payloads[j], gen)
     got = [None] * topo.world_size
     for j in peers:
-        got[j] = topo.recv(j, tag, gen)
+        got[j] = topo.recv(j, tag, gen, size)
     return got
 
 
 def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
-                encode, decode, dtype) -> np.ndarray | None:
-    """Flat sum at rank 0, accumulated in a fresh ``dtype`` array.  Returns
-    the sum at rank 0, None elsewhere."""
+                encode, decode, dtype, size: int) -> np.ndarray | None:
+    """Flat sum at rank 0 of ``size``-byte frames, accumulated in a fresh
+    ``dtype`` array.  Returns the sum at rank 0, None elsewhere."""
     if topo.rank != 0:
         topo.send(0, tag, encode(vec), gen)
         return None
     acc = vec.astype(dtype)
     for src in range(1, topo.world_size):
-        acc += decode(topo.recv(src, tag, gen))
+        acc += decode(topo.recv(src, tag, gen, size))
     return acc
 
 
 def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int,
-                         encode, decode, dtype) -> np.ndarray | None:
-    """Binomial-tree sum at rank 0, accumulated in a fresh ``dtype`` array.
-    Returns the sum at rank 0, None elsewhere."""
+                         encode, decode, dtype, size: int) -> np.ndarray | None:
+    """Binomial-tree sum at rank 0 of ``size``-byte frames, accumulated in a
+    fresh ``dtype`` array.  Returns the sum at rank 0, None elsewhere."""
     acc = vec.astype(dtype)
     mask = 1
     while mask < topo.world_size:
@@ -131,14 +145,14 @@ def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int,
             return None
         partner = topo.rank + mask
         if partner < topo.world_size:
-            acc = acc + decode(topo.recv(partner, TAG_REDUCE, gen))
+            acc = acc + decode(topo.recv(partner, TAG_REDUCE, gen, size))
         mask <<= 1
     return acc
 
 
 def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int,
-                    encode, decode) -> np.ndarray:
-    """Binomial-tree broadcast from rank 0."""
+                    encode, decode, size: int) -> np.ndarray:
+    """Binomial-tree broadcast of a ``size``-byte frame from rank 0."""
     p = topo.world_size
     mask = 1
     while mask < p:
@@ -151,7 +165,7 @@ def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int,
             if peer < p:
                 topo.send(peer, TAG_BCAST, encode(out), gen)
         elif topo.rank % (mask << 1) == mask:
-            out = decode(topo.recv(topo.rank - mask, TAG_BCAST, gen))
+            out = decode(topo.recv(topo.rank - mask, TAG_BCAST, gen, size))
         mask >>= 1
     return out
 
@@ -165,19 +179,21 @@ def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteRes
     vec = np.asarray(c_i).ravel()  # widened only by the sum's or codec's copy
     dtype = np.float64 if np.issubdtype(vec.dtype, np.floating) else np.int64
     encode, decode = _codec(dtype)
+    size = vec.size * np.dtype(dtype).itemsize
     gen = topo.next_generation()
 
     if efficient:
-        total = _tree_reduce_to_root(vec, topo, gen, encode, decode, dtype)
-        total = _tree_broadcast(total, topo, gen, encode, decode)
+        total = _tree_reduce_to_root(vec, topo, gen, encode, decode, dtype, size)
+        total = _tree_broadcast(total, topo, gen, encode, decode, size)
     else:
-        total = _gather_sum(vec, topo, gen, TAG_GATHER, encode, decode, dtype)
+        total = _gather_sum(vec, topo, gen, TAG_GATHER, encode, decode, dtype,
+                            size)
         if topo.rank == 0:
             payload = encode(total)
             for dst in range(1, topo.world_size):
                 topo.send(dst, TAG_BCAST, payload, gen)
         else:
-            total = decode(topo.recv(0, TAG_BCAST, gen))
+            total = decode(topo.recv(0, TAG_BCAST, gen, size))
 
     return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
 
@@ -225,6 +241,7 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
     padded = np.zeros(chunk * p, dtype=dtype)
     padded[:n] = q
     chunks = [padded[i * chunk:(i + 1) * chunk] for i in range(p)]
+    size = chunks[0].nbytes
 
     gen = topo.next_generation()
     r = topo.rank
@@ -238,14 +255,14 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
             recv_idx = (r - step - 1) % p
             topo.send(right, TAG_RING_RS, encode(chunks[send_idx]), gen)
             # Lane overflow is ruled out by the capacity check above.
-            chunks[recv_idx] += decode(topo.recv(left, TAG_RING_RS, gen))
+            chunks[recv_idx] += decode(topo.recv(left, TAG_RING_RS, gen, size))
         own = (r + 1) % p
         # Allgather the reduced chunks around the same ring.
         for step in range(p - 1):
             send_idx = (own - step) % p
             recv_idx = (own - step - 1) % p
             topo.send(right, TAG_RING_AG, encode(chunks[send_idx]), gen)
-            chunks[recv_idx] = decode(topo.recv(left, TAG_RING_AG, gen))
+            chunks[recv_idx] = decode(topo.recv(left, TAG_RING_AG, gen, size))
 
     summed = np.concatenate(chunks)[:n].astype(np.int64)
     return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
@@ -277,12 +294,12 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     r = topo.rank
 
     # Stage 1: pairwise-exchange all-to-all of 1-bit chunks.
+    size = (chunk + 7) // 8
     mine = [padded[j * chunk:(j + 1) * chunk] for j in range(p)]
     raw = _exchange(topo, TAG_ALLTOALL, gen,
-                    [None if j == r else pack(m, 1, 1).to_bytes()
-                     for j, m in enumerate(mine)])
-    received = [mine[r] if b is None else unpack(PackedBits.from_bytes(b))
-                for b in raw]
+                    [None if j == r else pack(m) for j, m in enumerate(mine)],
+                    size)
+    received = [mine[r] if b is None else unpack(b, chunk) for b in raw]
 
     chunk_sum = np.sum(np.stack(received), axis=0,
                        dtype=LANE_DTYPES[choose_lane_bits(p, 1)])
@@ -293,11 +310,11 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
             "1-bit path cannot carry exact zeros; use the alternating policy")
 
     # Stage 2: allgather of the voted chunks plus each chunk's tie count.
-    my_payload = local_ties.to_bytes(4, "little") + pack(voted, 1, 1).to_bytes()
+    my_payload = local_ties.to_bytes(4, "little") + pack(voted)
     gathered = [(local_ties, voted) if b is None else
-                (int.from_bytes(b[:4], "little"),
-                 unpack(PackedBits.from_bytes(b[4:])))
-                for b in _exchange(topo, TAG_SIGN_AG, gen, [my_payload] * p)]
+                (int.from_bytes(b[:4], "little"), unpack(b[4:], chunk))
+                for b in _exchange(topo, TAG_SIGN_AG, gen, [my_payload] * p,
+                                   4 + size)]
 
     total_ties = sum(t for t, _ in gathered)
     full = np.concatenate([v for _, v in gathered])[:n]
@@ -321,9 +338,10 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
     vec = np.asarray(x, dtype=np.float32).ravel()
     encode, decode = _codec(np.float32)
     gen = topo.next_generation()
-    acc = _gather_sum(vec, topo, gen, TAG_REDUCE, encode, decode, np.float64)
+    acc = _gather_sum(vec, topo, gen, TAG_REDUCE, encode, decode, np.float64,
+                      vec.nbytes)
     mean = None if acc is None else (acc / topo.world_size).astype(np.float32)
-    return _tree_broadcast(mean, topo, gen, encode, decode)
+    return _tree_broadcast(mean, topo, gen, encode, decode, vec.nbytes)
 
 
 def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
@@ -331,7 +349,7 @@ def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
     vec = np.asarray(x, dtype=np.float64).ravel()
     encode, decode = _codec(np.float64)
     raw = _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
-                    [encode(vec)] * topo.world_size)
+                    [encode(vec)] * topo.world_size, vec.nbytes)
     return [vec if b is None else decode(b) for b in raw]
 
 

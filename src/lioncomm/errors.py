@@ -17,19 +17,16 @@ class CapacityError(ConfigError):
 
 
 class PackRangeError(LionCommError):
-    """A value does not fit the requested bitwidth after offsetting."""
+    """A value to be packed as a sign bit is not -1 or +1."""
 
-    def __init__(self, index: int, value: int, width: int):
+    def __init__(self, index: int, value):
         self.index = index
         self.value = value
-        self.width = width
-        super().__init__(
-            f"value {value} at index {index} does not fit {width}-bit storage"
-        )
+        super().__init__(f"value {value} at index {index} is not a sign (-1 or +1)")
 
 
 class PackFormatError(LionCommError):
-    """A packed payload is inconsistent with its declared count/width."""
+    """A packed payload's length does not match its element count."""
 
 
 class CollectiveError(LionCommError):

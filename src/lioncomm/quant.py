@@ -1,29 +1,27 @@
-"""Quantization of update vectors and bit-level packing.
+"""Quantization of update vectors and sign-bit packing.
 
 The central piece is ``quantize``, an L_p-normalized integer quantizer:
 instead of scaling by the max-norm (which a single outlier can blow up),
 values are scaled by the mean p-norm, so heavy-tailed inputs keep most of
-their resolution.  ``pack``/``unpack`` turn small-integer vectors into
-dense byte payloads for the wire.
+their resolution.  ``pack``/``unpack`` turn {-1, +1} sign vectors into
+bare ``np.packbits(..., bitorder="little")`` bytes for the 1-bit wire.
 
-The sign path stays in narrow dtypes: ``apply_sign`` returns int8, and
-``unpack`` of a sign map returns int8.  Width-1 fields are packed with
-``np.packbits(..., bitorder="little")``, widths 2 and 4 with uint8 shifts;
-the payload bytes are the same as element-0-in-the-low-bits packing.
+The sign path stays in narrow dtypes: ``apply_sign`` and ``unpack``
+return int8.  A packed payload carries no count, width or header: the
+receiver knows the count, ``unpack`` rejects a payload that is not
+ceil(count/8) bytes, and ``Topology.recv`` rejects a frame of the wrong
+length first.  Two counts that pack to the same number of bytes are not
+told apart.
 """
 
 from __future__ import annotations
 
-import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, PackFormatError, PackRangeError
-
-PACKABLE_WIDTHS = (1, 2, 4, 8)
 
 # Sentinel accepted for QuantSpec.norm_p alongside float("inf").
 INF = float("inf")
@@ -212,106 +210,27 @@ def apply_sign(x: np.ndarray, policy: SignPolicy) -> np.ndarray:
     return (x > 0).view(np.int8) - (x < 0).view(np.int8)
 
 
-@dataclass(frozen=True)
-class PackedBits:
-    """Low-bitwidth integers packed into bytes, element 0 in the low bits.
-
-    ``offset`` is added to each value before storing so the stored field
-    is non-negative.  The one exception is width=1 with offset=1, which
-    denotes the sign map {-1, +1} -> {0, 1} (a plain +1 shift cannot fit
-    one bit, so the encoding is unambiguous).
-    """
-
-    width: int
-    count: int
-    offset: int
-    payload: bytes = field(repr=False)
-
-    HEADER = struct.Struct("<IBi")  # count, width, offset
-
-    def to_bytes(self) -> bytes:
-        return self.HEADER.pack(self.count, self.width, self.offset) + self.payload
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "PackedBits":
-        if len(raw) < cls.HEADER.size:
-            raise PackFormatError(f"truncated header: {len(raw)} bytes")
-        count, width, offset = cls.HEADER.unpack_from(raw)
-        payload = raw[cls.HEADER.size:]
-        expected = _payload_len(count, width)
-        if len(payload) != expected:
-            raise PackFormatError(
-                f"payload is {len(payload)} bytes, expected {expected} "
-                f"for count={count} width={width}"
-            )
-        return cls(width=width, count=count, offset=offset, payload=payload)
-
-
-def _payload_len(count: int, width: int) -> int:
-    return (count * width + 7) // 8
-
-
-def _check_width(width: int):
-    if width not in PACKABLE_WIDTHS:
-        raise ConfigError(f"width must be one of {PACKABLE_WIDTHS}, got {width}")
-
-
-def _is_sign_map(width: int, offset: int) -> bool:
-    return width == 1 and offset == 1
-
-
-def pack(values: np.ndarray, width: int, offset: int = 0) -> PackedBits:
-    """Pack integers into ``width``-bit fields, low bits first within a byte."""
-    _check_width(width)
-    values = np.asarray(values).ravel()
-    if values.dtype.kind not in "iu":
-        values = values.astype(np.int64)
-    if _is_sign_map(width, offset):
-        bad = np.abs(values) != 1
-        stored = values > 0
-    else:
-        stored = values.astype(np.int64) + offset
-        bad = (stored < 0) | (stored > (1 << width) - 1)
+def pack(signs: np.ndarray) -> bytes:
+    """Bare sign bits of a {-1, +1} vector: +1 is a set bit, element 0 the
+    low bit of byte 0, ceil(n/8) bytes with no header."""
+    signs = np.asarray(signs).ravel()
+    bad = np.abs(signs) != 1
     if bad.any():
         i = int(np.argmax(bad))
-        raise PackRangeError(i, int(values[i]), width)
-    count = values.size
-    if width == 1:
-        packed = np.packbits(stored, bitorder="little")
-    elif width == 8:
-        packed = stored.astype(np.uint8)
-    else:
-        per_byte = 8 // width
-        lanes = np.zeros(_payload_len(count, width) * per_byte, dtype=np.uint8)
-        lanes[:count] = stored
-        shifts = np.arange(0, 8, width, dtype=np.uint8)
-        packed = np.bitwise_or.reduce(lanes.reshape(-1, per_byte) << shifts, axis=1)
-    return PackedBits(width=width, count=count, offset=offset,
-                      payload=packed.tobytes())
+        raise PackRangeError(i, signs[i].item())
+    return np.packbits(signs > 0, bitorder="little").tobytes()
 
 
-def unpack(packed: PackedBits) -> np.ndarray:
-    """Exact inverse of ``pack``, offset removal included.
+def unpack(payload, count: int) -> np.ndarray:
+    """Exact inverse of ``pack``: ``count`` signs as int8 in {-1, +1}.
 
-    The sign map comes back as int8 in {-1, +1}; every other payload as
-    int64.
+    The payload must be exactly ceil(count/8) bytes.
     """
-    width = packed.width
-    _check_width(width)
-    expected = _payload_len(packed.count, width)
-    if len(packed.payload) != expected:
+    expected = (count + 7) // 8
+    if len(payload) != expected:
         raise PackFormatError(
-            f"payload is {len(packed.payload)} bytes, expected {expected}"
-        )
-    raw = np.frombuffer(packed.payload, dtype=np.uint8)
-    if width == 1:
-        stored = np.unpackbits(raw, count=packed.count, bitorder="little")
-        if _is_sign_map(width, packed.offset):
-            return 2 * stored.view(np.int8) - 1
-    elif width == 8:
-        stored = raw
-    else:
-        shifts = np.arange(0, 8, width, dtype=np.uint8)
-        fields = (raw[:, None] >> shifts) & np.uint8((1 << width) - 1)
-        stored = fields.ravel()[: packed.count]
-    return stored.astype(np.int64) - packed.offset
+            f"payload is {len(payload)} bytes, expected {expected} "
+            f"for {count} signs")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count,
+                         bitorder="little")
+    return 2 * bits.view(np.int8) - 1

@@ -95,10 +95,13 @@ class RunConfig:
             steps = int(tr["steps"])
             if steps < 1:
                 raise ConfigError("steps must be >= 1")
+            batch_size = int(tr["batch_size"])
+            if batch_size < 1:
+                raise ConfigError("batch_size must be >= 1")
             metrics_every = int(cfg["metrics_every"])
             if metrics_every < 1:
                 raise ConfigError("metrics_every must be >= 1")
-            return cls(model=model, steps=steps, batch_size=int(tr["batch_size"]),
+            return cls(model=model, steps=steps, batch_size=batch_size,
                        clients=int(tr["clients"]), hyper=hyper, quant=quant,
                        algo=algo, sync=sync, noise=noise, seed=int(cfg["seed"]),
                        metrics_every=metrics_every, raw=cfg)

@@ -30,6 +30,10 @@ class MlpModel:
     hidden: int = 32
     out_dim: int = 1
 
+    def __post_init__(self):
+        if min(self.in_dim, self.hidden, self.out_dim) < 1:
+            raise ConfigError(f"model dimensions must be >= 1: {self}")
+
     @property
     def layer_sizes(self) -> dict[str, int]:
         return {

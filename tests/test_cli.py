@@ -48,8 +48,16 @@ class TestExitCodes:
         ("train", {**SMALL_TRAIN, "metrics_every": -1}),
         ("train", {**SMALL_TRAIN, "sync": {"period": 5, "layers": ["hed"]}}),
         ("quant-bench", {"workers": 0}),
+        ("train", {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"],
+                                            "batch_size": 0}}),
+        ("train", {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"],
+                                            "batch_size": -1}}),
+        ("train", {**SMALL_TRAIN, "model": {"hidden": 0}}),
+        ("train", {**SMALL_TRAIN, "model": {"in_dim": 0}}),
+        ("train", {**SMALL_TRAIN, "model": {"out_dim": -2}}),
     ], ids=["unknown-algo", "metrics-every-0", "metrics-every-negative",
-            "unknown-sync-layer", "quant-bench-no-workers"])
+            "unknown-sync-layer", "quant-bench-no-workers", "batch-size-0",
+            "batch-size-negative", "hidden-0", "in-dim-0", "out-dim-negative"])
     def test_bad_config_exits_2(self, tmp_path, command, doc):
         cfgp = write_config(tmp_path, doc)
         assert cli.main([command, "--config", cfgp,

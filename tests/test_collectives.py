@@ -308,6 +308,28 @@ class TestRobustness:
                       timeout=0.3)
         assert "1" in str(e.value)
 
+    @pytest.mark.parametrize("call,lengths", [
+        (lambda x, topo: ps_gather_broadcast(x, topo), (8, 9)),
+        (lambda x, topo: ps_gather_broadcast(x, topo, efficient=True), (8, 9)),
+        (lambda x, topo: direct_allreduce(np.sign(x).astype(np.int8), topo,
+                                          q_max=1), (8, 9)),
+        (lambda x, topo: compressed_allreduce_1bit(
+            x, topo, SignPolicy("alternating", 1)), (8, 17)),
+        (allreduce_mean_f32, (8, 9)),
+        (allgather_f64, (8, 9)),
+    ], ids=["ps", "ps_efficient", "direct", "compressed1bit",
+            "allreduce_mean_f32", "allgather_f64"])
+    def test_unequal_lengths_name_the_sender(self, call, lengths):
+        rng = np.random.default_rng(3)
+        xs = [rng.normal(size=n) for n in lengths]
+        with pytest.raises(CollectiveError, match="length mismatch") as e:
+            run_ranks(2, lambda topo: call(xs[topo.rank], topo),
+                      transport=InprocTransport(2), timeout=0.5)
+        # Rank 0's error is raised first; it names the rank that sent the
+        # frame of the wrong length, and the generation and tag.
+        assert (e.value.rank, e.value.generation) == (1, 1)
+        assert e.value.phase.startswith("tag ")
+
     def test_repeat_runs_are_deterministic(self):
         vecs = make_vectors(4, 77, seed=21)
 

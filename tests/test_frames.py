@@ -1,4 +1,5 @@
-"""The lockstep frame check in ``Topology.recv`` and socket set-up failures."""
+"""The lockstep frame check in ``Topology.recv`` (generation, tag and
+length) and socket set-up failures."""
 
 import os
 import socket
@@ -62,15 +63,17 @@ def ends(request):
 def test_matching_frame_is_delivered(ends):
     ends[1].send(1, 0, 5, 3, b"abc")
     topo = Topology(world_size=2, rank=0, transport=ends[0], timeout=5)
-    assert topo.recv(1, tag=3, generation=5) == b"abc"
+    assert topo.recv(1, tag=3, generation=5, size=3) == b"abc"
 
 
-@pytest.mark.parametrize("sent_gen,sent_tag", [(4, 3), (6, 3), (5, 2)])
-def test_out_of_step_frame_names_the_source(ends, sent_gen, sent_tag):
-    ends[1].send(1, 0, sent_gen, sent_tag, b"abc")
+@pytest.mark.parametrize("sent_gen,sent_tag,sent", [
+    (4, 3, b"abc"), (6, 3, b"abc"), (5, 2, b"abc"), (5, 3, b"abcd"),
+], ids=["4-3", "6-3", "5-2", "wrong-length"])
+def test_out_of_step_frame_names_the_source(ends, sent_gen, sent_tag, sent):
+    ends[1].send(1, 0, sent_gen, sent_tag, sent)
     topo = Topology(world_size=2, rank=0, transport=ends[0], timeout=5)
     with pytest.raises(CollectiveError, match="mismatch") as err:
-        topo.recv(1, tag=3, generation=5)
+        topo.recv(1, tag=3, generation=5, size=3)
     assert err.value.rank == 1
 
 

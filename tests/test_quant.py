@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lioncomm.errors import ConfigError, PackFormatError, PackRangeError
-from lioncomm.quant import (INF, PackedBits, QuantSpec, SignPolicy, apply_sign,
-                            dequantize, lp_mean_norm, pack, quantize, sround,
-                            unpack)
+from lioncomm.quant import (INF, QuantSpec, SignPolicy, apply_sign, dequantize,
+                            lp_mean_norm, pack, quantize, sround, unpack)
 
 
 class TestLpMeanNorm:
@@ -185,111 +184,92 @@ class TestApplySignOracle:
             apply_sign(x, SignPolicy(mode, 1))
 
 
-def _shift_sum_pack(values, width, offset=0):
-    """The original uint32 shift-and-sum encoder, kept as a payload oracle."""
-    values = np.asarray(values, dtype=np.int64)
-    if width == 1 and offset == 1:
-        stored = (values + 1) >> 1
-    else:
-        stored = values + offset
-    per_byte = 8 // width
-    count = stored.size
-    padded = np.zeros((count * width + 7) // 8 * per_byte, dtype=np.uint8)
-    padded[:count] = stored.astype(np.uint8)
-    lanes = padded.reshape(-1, per_byte)
-    shifts = (np.arange(per_byte, dtype=np.uint32) * width).astype(np.uint32)
-    return (lanes.astype(np.uint32) << shifts).sum(axis=1).astype(np.uint8).tobytes()
+def _shift_sum_pack(signs):
+    """The original uint32 shift-and-sum encoder of the sign map
+    {-1, +1} -> {0, 1}, kept as a payload oracle."""
+    stored = (np.asarray(signs, dtype=np.int64) + 1) >> 1
+    padded = np.zeros((stored.size + 7) // 8 * 8, dtype=np.uint8)
+    padded[:stored.size] = stored
+    shifts = np.arange(8, dtype=np.uint32)
+    lanes = padded.reshape(-1, 8).astype(np.uint32) << shifts
+    return lanes.sum(axis=1).astype(np.uint8).tobytes()
 
 
 class TestPackOracle:
     """Payloads equal the original encoder's, byte for byte."""
 
-    @pytest.mark.parametrize("width,offset", [(1, 0), (1, 1), (2, 0), (2, 1),
-                                              (4, 0), (4, 7)])
-    def test_payload_matches_shift_sum_encoder(self, width, offset):
-        rng = np.random.default_rng(width * 10 + offset)
+    def test_payload_matches_shift_sum_encoder(self):
+        rng = np.random.default_rng(11)
         for n in range(1, 201):
-            if (width, offset) == (1, 1):
-                v = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-            else:
-                v = rng.integers(-offset, (1 << width) - offset, size=n)
-            pb = pack(v, width, offset)
-            assert pb.payload == _shift_sum_pack(v, width, offset), n
-            assert np.array_equal(unpack(pb), v), n
+            v = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+            payload = pack(v)
+            assert payload == _shift_sum_pack(v), n
+            assert np.array_equal(unpack(payload, n), v), n
 
     def test_sign_map_unpacks_to_int8(self):
-        assert unpack(pack(np.array([1, -1, -1]), 1, 1)).dtype == np.int8
+        assert unpack(pack(np.array([1, -1, -1])), 3).dtype == np.int8
 
     def test_sign_map_rejects_non_signs(self):
         with pytest.raises(PackRangeError) as e:
-            pack(np.array([1, -1, 0, 1], dtype=np.int8), 1, 1)
+            pack(np.array([1, -1, 0, 1], dtype=np.int8))
         assert e.value.index == 2 and e.value.value == 0
 
 
 class TestPackUnpack:
     def test_nibbles_low_first(self):
-        assert pack(np.array([3, 12]), 4).payload == b"\xc3"
+        # Elements 0-3 fill the low nibble: (+, +, -, -) is 3, (-, -, +, +) 12.
+        assert pack(np.array([1, 1, -1, -1, -1, -1, 1, 1])) == b"\xc3"
 
     def test_bits_low_first(self):
-        assert pack(np.array([1, 0, 1, 1, 0, 0, 0, 0]), 1).payload == b"\x0d"
+        assert pack(np.array([1, -1, 1, 1, -1, -1, -1, -1])) == b"\x0d"
 
     def test_sign_map(self):
-        pb = pack(np.array([-1, 1]), 1, 1)
-        assert pb.payload == b"\x02"
-        assert unpack(pb).tolist() == [-1, 1]
+        payload = pack(np.array([-1, 1]))
+        assert payload == b"\x02"
+        assert unpack(payload, 2).tolist() == [-1, 1]
 
     def test_roundtrip_exhaustive_nibbles(self):
-        v = np.arange(16)
-        assert unpack(pack(v, 4)).tolist() == v.tolist()
-
-    def test_roundtrip_all_widths_with_offset(self):
-        rng = np.random.default_rng(0)
-        for width in (1, 2, 4, 8):
-            hi = (1 << width) - 1
-            off = hi // 2
-            v = rng.integers(-off, hi - off + 1, size=123)
-            assert np.array_equal(unpack(pack(v, width, off)), v)
+        for nibble in range(16):
+            v = np.array([1 if nibble >> i & 1 else -1 for i in range(4)])
+            assert pack(v) == bytes([nibble])
+            assert unpack(pack(v), 4).tolist() == v.tolist()
 
     def test_out_of_range_reports_index(self):
         with pytest.raises(PackRangeError) as e:
-            pack(np.array([0, 1, 99]), 4)
+            pack(np.array([1, -1, 99]))
         assert e.value.index == 2 and e.value.value == 99
 
-    def test_unsupported_width(self):
-        with pytest.raises(ConfigError):
-            pack(np.array([0]), 3)
+    def test_fraction_is_not_a_sign(self):
+        with pytest.raises(PackRangeError) as e:
+            pack(np.array([1.0, -1.0, 1.5]))
+        assert e.value.index == 2 and e.value.value == 1.5
 
     def test_truncated_payload(self):
-        pb = pack(np.arange(10), 8)
+        payload = pack(np.ones(10))
         with pytest.raises(PackFormatError):
-            unpack(PackedBits(width=8, count=10, offset=0,
-                              payload=pb.payload[:-1]))
+            unpack(payload[:-1], 10)
 
     def test_wire_format_layout(self):
-        pb = pack(np.array([5, 6]), 4, offset=2)
-        raw = pb.to_bytes()
-        assert raw[:4] == (2).to_bytes(4, "little")          # count
-        assert raw[4] == 4                                   # width
-        assert raw[5:9] == (2).to_bytes(4, "little", signed=True)  # offset
-        assert PackedBits.from_bytes(raw) == pb
+        # Bare sign bits: ceil(n/8) bytes, padding bits clear, no header.
+        assert pack(np.ones(9)) == b"\xff\x01"
+        for n in (1, 7, 8, 9, 1000):
+            assert len(pack(-np.ones(n))) == (n + 7) // 8
 
     def test_wire_format_rejects_bad_length(self):
-        raw = pack(np.arange(9), 8).to_bytes()
+        payload = pack(np.ones(9))
         with pytest.raises(PackFormatError):
-            PackedBits.from_bytes(raw + b"\x00")
+            unpack(payload + b"\x00", 9)
 
-    @given(st.lists(st.integers(0, 255), min_size=1, max_size=200))
+    @given(st.binary(min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
-    def test_roundtrip_width8_random(self, vals):
-        v = np.array(vals)
-        assert np.array_equal(unpack(pack(v, 8)), v)
-        assert np.array_equal(
-            unpack(PackedBits.from_bytes(pack(v, 8).to_bytes())), v)
+    def test_roundtrip_width8_random(self, payload):
+        # Every byte pattern is a sign payload: unpack, then pack, gives it back.
+        assert pack(unpack(payload, 8 * len(payload))) == payload
 
-    @given(st.integers(0, 2), st.lists(st.integers(), min_size=1, max_size=100))
+    @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=300))
     @settings(max_examples=60, deadline=None)
-    def test_roundtrip_subbyte_random(self, wexp, raw):
-        width = 1 << wexp
-        hi = (1 << width) - 1
-        v = np.array([abs(x) % (hi + 1) for x in raw])
-        assert np.array_equal(unpack(pack(v, width)), v)
+    def test_roundtrip_subbyte_random(self, vals):
+        v = np.array(vals, dtype=np.int8)
+        payload = pack(v)
+        assert len(payload) == (v.size + 7) // 8
+        assert np.array_equal(unpack(payload, v.size), v)

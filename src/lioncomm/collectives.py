@@ -5,23 +5,23 @@ Four ways to obtain the aggregated update at every rank:
 * ``ps_gather_broadcast`` -- parameter-server style: gather at rank 0,
   sum, broadcast (flat sends or binomial trees).
 * ``direct_allreduce`` -- integers summed in a signed lane sized by
-  ``choose_lane_bits``, over a ring reduce-scatter + allgather; the exact
-  sum comes back.
-* ``compressed_allreduce_1bit`` -- signs only: all-to-all of 1-bit chunks,
-  local majority per chunk, 1-bit allgather of the result.
+  ``choose_lane_bits``, over a pairwise reduce-scatter + allgather; the
+  exact sum comes back.
+* ``compressed_allreduce_1bit`` -- signs only (``alternating`` policy):
+  the same two phases on 1-bit chunks, with a local majority per chunk.
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
   momentum synchronization, not votes).
 
 Every frame is a bare little-endian array: lane or float words, or
 ``quant.pack`` sign bits (the 1-bit stage-2 frame puts a 4-byte tie count
-in front).  All collectives are synchronous rendezvous points, and
-``Topology.recv`` is their one lockstep check: a frame of the wrong
-generation, tag or byte length raises ``CollectiveError`` naming the
-sender, and a peer that never sends raises one after the timeout.  No
-element count is sent, so vectors of different lengths whose frames have
-the same byte length pass (``direct`` at P=4 with N=7 and N=8);
-``run_training``'s final parameter hash check still catches ranks that
-end up different.
+in front).  Every all-to-all and allgather phase is one loop, ``_exchange``,
+and input checks run before the first send.  ``Topology.recv`` is the one
+lockstep check: a frame of the wrong generation, tag or byte length raises
+``CollectiveError`` naming the sender, generation and phase, and a peer
+that never sends raises one after the timeout.  No element count is sent,
+so vectors of different lengths whose frames have the same byte length
+pass (``direct`` at P=4 with N=7 and N=8); ``run_training``'s final
+parameter hash check still catches ranks that end up different.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from .transport import DEFAULT_TIMEOUT, InprocTransport, Transport
 # Tags distinguish phases within one collective generation.
 TAG_GATHER = 1
 TAG_BCAST = 2
-TAG_RING_RS = 3
-TAG_RING_AG = 4
 TAG_ALLTOALL = 5
-TAG_SIGN_AG = 6
 TAG_REDUCE = 7
 TAG_ALLGATHER = 8
+# ``ps`` sends integer and float sums alike as 8-byte words; float frames
+# add this to their tags, so ranks that mix the two fail the tag check.
+TAG_FLOAT_WORDS = 16
 
 LANE_DTYPES = {8: np.int8, 16: np.int16, 32: np.int32}
 
@@ -74,14 +74,13 @@ class Topology:
         in lockstep."""
         got_gen, got_tag, payload = self.transport.recv(
             self.rank, src, generation, tag, self.timeout)
-        if (got_gen, got_tag) != (generation, tag):
+        got = (got_gen, got_tag, len(payload))
+        if got != (generation, tag, size):
+            kind = "length" if got[:2] == (generation, tag) else "message"
             raise CollectiveError(
-                f"message mismatch: expected gen={generation} tag={tag}, "
-                f"got gen={got_gen} tag={got_tag}", rank=src)
-        if len(payload) != size:
-            raise CollectiveError(
-                f"length mismatch: frame is {len(payload)} bytes, "
-                f"expected {size}", rank=src, generation=generation,
+                f"{kind} mismatch: expected gen={generation} tag={tag} "
+                f"{size} bytes, got gen={got_gen} tag={got_tag} "
+                f"{len(payload)} bytes", rank=src, generation=generation,
                 phase=f"tag {tag}")
         return payload
 
@@ -107,17 +106,19 @@ def _codec(dtype):
     return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(), decode)
 
 
-def _exchange(topo: Topology, tag: int, gen: int, payloads, size: int) -> list:
-    """Send ``payloads[j]`` to every rank j but this one, then receive one
-    ``size``-byte frame from each in rank order; this rank's slot comes
-    back None."""
+def _exchange(topo: Topology, tag: int, gen: int, payloads, size: int,
+              decode, own) -> list:
+    """Send ``payloads[j]`` to every rank j but this one and receive one
+    ``size``-byte frame from each in rank order.  Returns every rank's
+    value in rank order: ``own`` in this rank's slot, the others decoded
+    once all frames are in."""
     peers = [j for j in range(topo.world_size) if j != topo.rank]
     for j in peers:
         topo.send(j, tag, payloads[j], gen)
-    got = [None] * topo.world_size
-    for j in peers:
-        got[j] = topo.recv(j, tag, gen, size)
-    return got
+    got = [topo.recv(j, tag, gen, size) for j in peers]
+    values = [decode(b) for b in got]
+    values.insert(topo.rank, own)
+    return values
 
 
 def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
@@ -133,7 +134,7 @@ def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
     return acc
 
 
-def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int,
+def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int, tag: int,
                          encode, decode, dtype, size: int) -> np.ndarray | None:
     """Binomial-tree sum at rank 0 of ``size``-byte frames, accumulated in a
     fresh ``dtype`` array.  Returns the sum at rank 0, None elsewhere."""
@@ -141,16 +142,16 @@ def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int,
     mask = 1
     while mask < topo.world_size:
         if topo.rank & mask:
-            topo.send(topo.rank - mask, TAG_REDUCE, encode(acc), gen)
+            topo.send(topo.rank - mask, tag, encode(acc), gen)
             return None
         partner = topo.rank + mask
         if partner < topo.world_size:
-            acc = acc + decode(topo.recv(partner, TAG_REDUCE, gen, size))
+            acc = acc + decode(topo.recv(partner, tag, gen, size))
         mask <<= 1
     return acc
 
 
-def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int,
+def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
                     encode, decode, size: int) -> np.ndarray:
     """Binomial-tree broadcast of a ``size``-byte frame from rank 0."""
     p = topo.world_size
@@ -163,9 +164,9 @@ def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int,
         if topo.rank % (mask << 1) == 0:
             peer = topo.rank + mask
             if peer < p:
-                topo.send(peer, TAG_BCAST, encode(out), gen)
+                topo.send(peer, tag, encode(out), gen)
         elif topo.rank % (mask << 1) == mask:
-            out = decode(topo.recv(topo.rank - mask, TAG_BCAST, gen, size))
+            out = decode(topo.recv(topo.rank - mask, tag, gen, size))
         mask >>= 1
     return out
 
@@ -174,26 +175,30 @@ def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteRes
     """Sum all workers' vectors at rank 0 and hand the sum back to everyone.
 
     ``efficient`` switches flat sends for binomial trees; results are
-    identical either way.  Accepts integer or float vectors.
+    identical either way.  Accepts integer or float vectors, the same kind
+    at every rank: one that differs fails the tag check.
     """
     vec = np.asarray(c_i).ravel()  # widened only by the sum's or codec's copy
     dtype = np.float64 if np.issubdtype(vec.dtype, np.floating) else np.int64
     encode, decode = _codec(dtype)
     size = vec.size * np.dtype(dtype).itemsize
+    words = TAG_FLOAT_WORDS if dtype is np.float64 else 0
+    bcast = TAG_BCAST + words
     gen = topo.next_generation()
 
     if efficient:
-        total = _tree_reduce_to_root(vec, topo, gen, encode, decode, dtype, size)
-        total = _tree_broadcast(total, topo, gen, encode, decode, size)
+        total = _tree_reduce_to_root(vec, topo, gen, TAG_REDUCE + words,
+                                     encode, decode, dtype, size)
+        total = _tree_broadcast(total, topo, gen, bcast, encode, decode, size)
     else:
-        total = _gather_sum(vec, topo, gen, TAG_GATHER, encode, decode, dtype,
-                            size)
+        total = _gather_sum(vec, topo, gen, TAG_GATHER + words, encode,
+                            decode, dtype, size)
         if topo.rank == 0:
             payload = encode(total)
             for dst in range(1, topo.world_size):
-                topo.send(dst, TAG_BCAST, payload, gen)
+                topo.send(dst, bcast, payload, gen)
         else:
-            total = decode(topo.recv(0, TAG_BCAST, gen, size))
+            total = decode(topo.recv(0, bcast, gen, size))
 
     return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
 
@@ -211,7 +216,8 @@ def choose_lane_bits(workers: int, q_max: int) -> int:
 
 def direct_allreduce(q_i, topo: Topology, q_max: int,
                      lane_bits: int | None = None) -> VoteResult:
-    """Exact elementwise sum across ranks via ring reduce-scatter + allgather.
+    """Exact elementwise sum across ranks: the vector is cut into P chunks,
+    rank j sums chunk j of every rank, and allgathers the summed chunk.
 
     Integers in [-q_max, q_max] are summed in the signed lane that
     ``choose_lane_bits`` picks; the dtype, range and capacity checks run
@@ -245,26 +251,17 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
 
     gen = topo.next_generation()
     r = topo.rank
-    if p > 1:
-        right = (r + 1) % p
-        left = (r - 1) % p
-        # Reduce-scatter: after P-1 steps rank r owns the full sum of
-        # chunk (r+1) mod p.
-        for step in range(p - 1):
-            send_idx = (r - step) % p
-            recv_idx = (r - step - 1) % p
-            topo.send(right, TAG_RING_RS, encode(chunks[send_idx]), gen)
-            # Lane overflow is ruled out by the capacity check above.
-            chunks[recv_idx] += decode(topo.recv(left, TAG_RING_RS, gen, size))
-        own = (r + 1) % p
-        # Allgather the reduced chunks around the same ring.
-        for step in range(p - 1):
-            send_idx = (own - step) % p
-            recv_idx = (own - step - 1) % p
-            topo.send(right, TAG_RING_AG, encode(chunks[send_idx]), gen)
-            chunks[recv_idx] = decode(topo.recv(left, TAG_RING_AG, gen, size))
-
-    summed = np.concatenate(chunks)[:n].astype(np.int64)
+    # Reduce-scatter: rank j sums the P copies of chunk j in its lane;
+    # overflow is ruled out by the capacity check above.
+    parts = _exchange(topo, TAG_ALLTOALL, gen,
+                      [None if j == r else encode(c)
+                       for j, c in enumerate(chunks)], size, decode, chunks[r])
+    reduced = parts.pop(r)  # this rank's chunk, a view of ``padded``
+    for part in parts:
+        reduced += part
+    full = _exchange(topo, TAG_ALLGATHER, gen, [encode(reduced)] * p, size,
+                     decode, reduced)
+    summed = np.concatenate(full)[:n].astype(np.int64)
     return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
 
 
@@ -277,13 +274,14 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     at rank i packed to 1 bit.  Rank i sums the P sign chunks, takes the
     majority sign (ties again resolved by the policy), and an allgather
     of the recompressed chunks gives every rank the full +-1 vote, as
-    int8.
+    int8.  A bit carries no zero, so only the ``alternating`` policy is
+    accepted; any other raises ``ConfigError`` before anything is sent.
     """
+    if policy.mode != "alternating":
+        raise ConfigError(f"1-bit path needs the alternating policy, not "
+                          f"{policy.mode!r}: it cannot carry exact zeros")
     x = np.asarray(c_i, dtype=np.float64).ravel()
     s = apply_sign(x, policy)
-    if np.any(s == 0):
-        raise ConfigError(
-            "1-bit path cannot carry exact zeros; use the alternating policy")
     p = topo.world_size
     n = s.size
     chunk = -(-n // p)
@@ -296,25 +294,22 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     # Stage 1: pairwise-exchange all-to-all of 1-bit chunks.
     size = (chunk + 7) // 8
     mine = [padded[j * chunk:(j + 1) * chunk] for j in range(p)]
-    raw = _exchange(topo, TAG_ALLTOALL, gen,
-                    [None if j == r else pack(m) for j, m in enumerate(mine)],
-                    size)
-    received = [mine[r] if b is None else unpack(b, chunk) for b in raw]
+    received = _exchange(
+        topo, TAG_ALLTOALL, gen,
+        [None if j == r else pack(m) for j, m in enumerate(mine)], size,
+        lambda b: unpack(b, chunk), mine[r])
 
     chunk_sum = np.sum(np.stack(received), axis=0,
                        dtype=LANE_DTYPES[choose_lane_bits(p, 1)])
     local_ties = int(np.count_nonzero(chunk_sum == 0))
     voted = apply_sign(chunk_sum, policy)
-    if np.any(voted == 0):
-        raise ConfigError(
-            "1-bit path cannot carry exact zeros; use the alternating policy")
 
     # Stage 2: allgather of the voted chunks plus each chunk's tie count.
     my_payload = local_ties.to_bytes(4, "little") + pack(voted)
-    gathered = [(local_ties, voted) if b is None else
-                (int.from_bytes(b[:4], "little"), unpack(b[4:], chunk))
-                for b in _exchange(topo, TAG_SIGN_AG, gen, [my_payload] * p,
-                                   4 + size)]
+    gathered = _exchange(
+        topo, TAG_ALLGATHER, gen, [my_payload] * p, 4 + size,
+        lambda b: (int.from_bytes(b[:4], "little"), unpack(b[4:], chunk)),
+        (local_ties, voted))
 
     total_ties = sum(t for t, _ in gathered)
     full = np.concatenate([v for _, v in gathered])[:n]
@@ -341,16 +336,16 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
     acc = _gather_sum(vec, topo, gen, TAG_REDUCE, encode, decode, np.float64,
                       vec.nbytes)
     mean = None if acc is None else (acc / topo.world_size).astype(np.float32)
-    return _tree_broadcast(mean, topo, gen, encode, decode, vec.nbytes)
+    return _tree_broadcast(mean, topo, gen, TAG_BCAST, encode, decode,
+                           vec.nbytes)
 
 
 def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
     """Every rank returns [x_0, ..., x_{P-1}] in rank order."""
     vec = np.asarray(x, dtype=np.float64).ravel()
     encode, decode = _codec(np.float64)
-    raw = _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
-                    [encode(vec)] * topo.world_size, vec.nbytes)
-    return [vec if b is None else decode(b) for b in raw]
+    return _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
+                     [encode(vec)] * topo.world_size, vec.nbytes, decode, vec)
 
 
 def run_ranks(world_size: int, fn, transport: Transport | None = None,

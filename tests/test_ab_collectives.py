@@ -1,0 +1,22 @@
+"""Smoke test of the per-collective A/B harness in ``tools/``."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_ab_harness_runs_both_sides_and_reports_every_collective():
+    src = os.path.join(ROOT, "src")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_collectives.py"),
+         "--parent", src, "--change", src, "--n", "3", "--pairs", "1"],
+        capture_output=True, text=True, timeout=120, check=True)
+    rows = [line.split() for line in done.stdout.splitlines()[2:]]
+    assert [r[0] for r in rows] == [
+        "ps", "ps_efficient", "direct", "compressed1bit",
+        "allreduce_mean_f32", "allgather_f64"]
+    for row in rows:
+        assert row[1] == "3" and row[-1] in ("0/1", "1/1")
+        assert float(row[2]) > 0 and float(row[4]) > 0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from lioncomm.collectives import (Topology, VoteResult, allgather_f64,
                                   compressed_allreduce_1bit, direct_allreduce,
                                   majority_sign, ps_gather_broadcast,
                                   run_ranks)
-from lioncomm.errors import CapacityError, CollectiveError, ConfigError
+from lioncomm.errors import (CapacityError, CollectiveError, ConfigError,
+                             LionCommError)
 from lioncomm.quant import SignPolicy, apply_sign
 from lioncomm.transport import InprocTransport, SocketTransport
 
@@ -23,6 +26,28 @@ def make_vectors(world, n, seed, lo=-7, hi=7):
 
 def run_vote(world, fn):
     return run_ranks(world, fn, transport=InprocTransport(world))
+
+
+def errors_per_rank(world, fn, transport, timeout):
+    """Run ``fn(topo)`` on every rank; each rank's package error, or None."""
+    def caught(topo):
+        try:
+            fn(topo)
+        except LionCommError as exc:
+            return exc
+        return None
+
+    return run_ranks(world, caught, transport=transport, timeout=timeout)
+
+
+class SendCounter(InprocTransport):
+    def __init__(self, world_size):
+        super().__init__(world_size)
+        self.msgs = 0
+
+    def send(self, src, dst, generation, tag, payload):
+        self.msgs += 1
+        super().send(src, dst, generation, tag, payload)
 
 
 class TestPsGatherBroadcast:
@@ -192,6 +217,19 @@ class TestCompressed1Bit:
         with pytest.raises(ConfigError):
             run_vote(2, fn)
 
+    def test_exact_ternary_is_rejected_before_any_send(self):
+        # A tie that only the exact-ternary policy would keep: every rank
+        # must fail at once, without leaving a peer waiting for a frame.
+        cs = [np.array([1.0]), np.array([-1.0])]
+        transport = SendCounter(2)
+        t0 = time.monotonic()
+        errors = errors_per_rank(2, lambda topo: compressed_allreduce_1bit(
+            cs[topo.rank], topo, SignPolicy("exact-ternary")),
+            transport, timeout=3)
+        assert time.monotonic() - t0 < 0.5
+        assert all(isinstance(e, ConfigError) for e in errors)
+        assert transport.msgs == 0
+
     def test_even_iteration_breaks_ties_down(self):
         policy = SignPolicy("alternating", iteration=2)
         cs = [np.array([1.0, -1.0]), np.array([-1.0, 1.0])]
@@ -329,6 +367,17 @@ class TestRobustness:
         # frame of the wrong length, and the generation and tag.
         assert (e.value.rank, e.value.generation) == (1, 1)
         assert e.value.phase.startswith("tag ")
+
+    @pytest.mark.parametrize("world", [2, 3])
+    @pytest.mark.parametrize("efficient", [False, True])
+    def test_ps_rejects_mixed_integer_and_float_inputs(self, world,
+                                                        efficient):
+        # Both travel as 8-byte words, so only the tag tells them apart.
+        xs = [np.array([0.5, 1.0])] + [np.array([1, 2])] * (world - 1)
+        errors = errors_per_rank(world, lambda topo: ps_gather_broadcast(
+            xs[topo.rank], topo, efficient=efficient),
+            InprocTransport(world), timeout=0.5)
+        assert all(isinstance(e, CollectiveError) for e in errors)
 
     def test_repeat_runs_are_deterministic(self):
         vecs = make_vectors(4, 77, seed=21)

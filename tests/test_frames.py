@@ -74,7 +74,8 @@ def test_out_of_step_frame_names_the_source(ends, sent_gen, sent_tag, sent):
     topo = Topology(world_size=2, rank=0, transport=ends[0], timeout=5)
     with pytest.raises(CollectiveError, match="mismatch") as err:
         topo.recv(1, tag=3, generation=5, size=3)
-    assert err.value.rank == 1
+    assert (err.value.rank, err.value.generation, err.value.phase) == (
+        1, 5, "tag 3")
 
 
 def open_fds():

@@ -5,7 +5,11 @@ before their wire encoding, exchange loops and gather-sum were shared;
 they check the traffic rather than assume it.  A collective that changes
 its traffic must change them, and say why.  The ``compressed1bit`` bytes
 are 9 per message lower than first recorded: its sign frames dropped a
-9-byte count/width/offset header and are now bare packed bits.
+9-byte count/width/offset header and are now bare packed bits.  The P=8
+cells (N up to 4099, which 8 does not divide) were recorded while
+``direct_allreduce`` still ran a ring reduce-scatter and allgather, before
+it moved onto the same pairwise exchange as the 1-bit vote: the two send
+the same messages and bytes per rank.
 """
 
 import numpy as np
@@ -102,6 +106,35 @@ TRAFFIC = {
     ('allgather_f64', 4, 1): ([3, 3, 3, 3], [24, 24, 24, 24]),
     ('allgather_f64', 4, 7): ([3, 3, 3, 3], [168, 168, 168, 168]),
     ('allgather_f64', 4, 1000): ([3, 3, 3, 3], [24000, 24000, 24000, 24000]),
+    # P=8, including N=4099, which P does not divide.
+    ('ps', 8, 1): ([7, 1, 1, 1, 1, 1, 1, 1], [56, 8, 8, 8, 8, 8, 8, 8]),
+    ('ps', 8, 7): ([7, 1, 1, 1, 1, 1, 1, 1], [392, 56, 56, 56, 56, 56, 56, 56]),
+    ('ps', 8, 1000): ([7, 1, 1, 1, 1, 1, 1, 1], [56000, 8000, 8000, 8000, 8000, 8000, 8000, 8000]),
+    ('ps', 8, 4099): ([7, 1, 1, 1, 1, 1, 1, 1], [229544, 32792, 32792, 32792, 32792, 32792, 32792, 32792]),
+    ('ps_efficient', 8, 1): ([3, 1, 2, 1, 3, 1, 2, 1], [24, 8, 16, 8, 24, 8, 16, 8]),
+    ('ps_efficient', 8, 7): ([3, 1, 2, 1, 3, 1, 2, 1], [168, 56, 112, 56, 168, 56, 112, 56]),
+    ('ps_efficient', 8, 1000): ([3, 1, 2, 1, 3, 1, 2, 1], [24000, 8000, 16000, 8000, 24000, 8000, 16000, 8000]),
+    ('ps_efficient', 8, 4099): ([3, 1, 2, 1, 3, 1, 2, 1], [98376, 32792, 65584, 32792, 98376, 32792, 65584, 32792]),
+    ('direct', 8, 1): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
+    ('direct', 8, 7): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
+    ('direct', 8, 1000): ([14, 14, 14, 14, 14, 14, 14, 14], [1750, 1750, 1750, 1750, 1750, 1750, 1750, 1750]),
+    ('direct', 8, 4099): ([14, 14, 14, 14, 14, 14, 14, 14], [7182, 7182, 7182, 7182, 7182, 7182, 7182, 7182]),
+    ('direct_signs', 8, 1): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
+    ('direct_signs', 8, 7): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
+    ('direct_signs', 8, 1000): ([14, 14, 14, 14, 14, 14, 14, 14], [1750, 1750, 1750, 1750, 1750, 1750, 1750, 1750]),
+    ('direct_signs', 8, 4099): ([14, 14, 14, 14, 14, 14, 14, 14], [7182, 7182, 7182, 7182, 7182, 7182, 7182, 7182]),
+    ('compressed1bit', 8, 1): ([14, 14, 14, 14, 14, 14, 14, 14], [42, 42, 42, 42, 42, 42, 42, 42]),
+    ('compressed1bit', 8, 7): ([14, 14, 14, 14, 14, 14, 14, 14], [42, 42, 42, 42, 42, 42, 42, 42]),
+    ('compressed1bit', 8, 1000): ([14, 14, 14, 14, 14, 14, 14, 14], [252, 252, 252, 252, 252, 252, 252, 252]),
+    ('compressed1bit', 8, 4099): ([14, 14, 14, 14, 14, 14, 14, 14], [938, 938, 938, 938, 938, 938, 938, 938]),
+    ('allreduce_mean_f32', 8, 1): ([3, 1, 2, 1, 3, 1, 2, 1], [12, 4, 8, 4, 12, 4, 8, 4]),
+    ('allreduce_mean_f32', 8, 7): ([3, 1, 2, 1, 3, 1, 2, 1], [84, 28, 56, 28, 84, 28, 56, 28]),
+    ('allreduce_mean_f32', 8, 1000): ([3, 1, 2, 1, 3, 1, 2, 1], [12000, 4000, 8000, 4000, 12000, 4000, 8000, 4000]),
+    ('allreduce_mean_f32', 8, 4099): ([3, 1, 2, 1, 3, 1, 2, 1], [49188, 16396, 32792, 16396, 49188, 16396, 32792, 16396]),
+    ('allgather_f64', 8, 1): ([7, 7, 7, 7, 7, 7, 7, 7], [56, 56, 56, 56, 56, 56, 56, 56]),
+    ('allgather_f64', 8, 7): ([7, 7, 7, 7, 7, 7, 7, 7], [392, 392, 392, 392, 392, 392, 392, 392]),
+    ('allgather_f64', 8, 1000): ([7, 7, 7, 7, 7, 7, 7, 7], [56000, 56000, 56000, 56000, 56000, 56000, 56000, 56000]),
+    ('allgather_f64', 8, 4099): ([7, 7, 7, 7, 7, 7, 7, 7], [229544, 229544, 229544, 229544, 229544, 229544, 229544, 229544]),
 }
 
 

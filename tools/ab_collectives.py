@@ -1,0 +1,148 @@
+"""Per-collective A/B timing of two source trees of lioncomm.
+
+    python tools/ab_collectives.py --parent OLD/src --change NEW/src \
+        [--n 577 1000003] [--pairs 10]
+
+Each pair runs both sides, one after the other, in alternating order
+(parent first on even pairs, change first on odd ones).  Each side is a
+fresh interpreter that pins itself to one core with
+``os.sched_setaffinity``, imports lioncomm from its source tree, and
+times the six collectives in-process at P=4 (threads on one
+``InprocTransport``): ``ps``, ``ps_efficient``, ``direct`` (8-bit
+integers, q_max=127), ``compressed1bit``, ``allreduce_mean_f32`` and
+``allgather_f64``.  A side's figure for a collective and N is the median
+of rank 0's per-call wall time over its repetitions.
+
+The table gives, per collective and N, the median over pairs of each
+side's figure in microseconds, the parent's quartiles over pairs, the
+change/parent ratio of the medians, and in how many pairs the change
+was faster.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+WORLD = 4
+COLLECTIVES = ("ps", "ps_efficient", "direct", "compressed1bit",
+               "allreduce_mean_f32", "allgather_f64")
+
+
+def reps_for(n: int) -> int:
+    """Repetitions per side: up to 400 for small vectors, at least 25."""
+    return max(25, min(400, 4_000_000 // n))
+
+
+def worker(src: str, sizes: list[int]) -> dict:
+    """Time every collective at every size in this interpreter."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    sys.path.insert(0, os.path.abspath(src))
+    import lioncomm
+    from lioncomm import collectives as coll
+    from lioncomm.quant import SignPolicy
+    from lioncomm.transport import InprocTransport
+
+    if not os.path.abspath(lioncomm.__file__).startswith(os.path.abspath(src)):
+        raise SystemExit(f"lioncomm imported from {lioncomm.__file__}, "
+                         f"not from {src}")
+    policy = SignPolicy("alternating", iteration=1)
+    calls = {
+        "ps": lambda x, q, topo: coll.ps_gather_broadcast(q, topo),
+        "ps_efficient": lambda x, q, topo: coll.ps_gather_broadcast(
+            q, topo, efficient=True),
+        "direct": lambda x, q, topo: coll.direct_allreduce(q, topo,
+                                                           q_max=127),
+        "compressed1bit": lambda x, q, topo: coll.compressed_allreduce_1bit(
+            x, topo, policy),
+        "allreduce_mean_f32": lambda x, q, topo: coll.allreduce_mean_f32(
+            x, topo),
+        "allgather_f64": lambda x, q, topo: coll.allgather_f64(x, topo),
+    }
+    out = {}
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        xs = [rng.normal(size=n) for _ in range(WORLD)]
+        qs = [rng.integers(-127, 128, size=n).astype(np.int8)
+              for _ in range(WORLD)]
+        reps = reps_for(n)
+        for name in COLLECTIVES:
+            call = calls[name]
+            times = []
+
+            def rank(topo):
+                call(xs[topo.rank], qs[topo.rank], topo)  # warm-up
+                for _ in range(reps):
+                    t0 = time.perf_counter()
+                    call(xs[topo.rank], qs[topo.rank], topo)
+                    if topo.rank == 0:
+                        times.append(time.perf_counter() - t0)
+
+            coll.run_ranks(WORLD, rank, transport=InprocTransport(WORLD))
+            out[f"{name}/{n}"] = float(np.median(times)) * 1e6
+    return out
+
+
+def run_side(src: str, sizes: list[int]) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", src,
+           "--n", *map(str, sizes)]
+    done = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    return float(q1), float(q2), float(q3)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="source tree of the parent (its src/)")
+    ap.add_argument("--change", help="source tree of the change (its src/)")
+    ap.add_argument("--n", type=int, nargs="+", default=[577, 1_000_003],
+                    help="vector lengths (default: 577 1000003)")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating parent/change pairs (default: 10)")
+    ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(args.worker, args.n)))
+        return 0
+    if not (args.parent and args.change):
+        ap.error("--parent and --change are required")
+    if args.pairs < 1 or min(args.n) < 1:
+        ap.error("--pairs and every --n must be at least 1")
+
+    runs = {"parent": [], "change": []}
+    for k in range(args.pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_side(getattr(args, side), args.n))
+
+    print(f"P={WORLD}, in-process, one core per side, {args.pairs} pairs; "
+          f"{os.cpu_count()} cores on this host")
+    print(f"{'collective':<20}{'N':>9}{'parent_us':>12}{'parent_q1-q3':>20}"
+          f"{'change_us':>12}{'ratio':>8}{'wins':>8}")
+    for n in args.n:
+        for name in COLLECTIVES:
+            key = f"{name}/{n}"
+            old = [r[key] for r in runs["parent"]]
+            new = [r[key] for r in runs["change"]]
+            q1, med_old, q3 = quartiles(old)
+            med_new = quartiles(new)[1]
+            wins = sum(b < a for a, b in zip(old, new))
+            print(f"{name:<20}{n:>9}{med_old:>12.1f}"
+                  f"{f'{q1:.1f}-{q3:.1f}':>20}{med_new:>12.1f}"
+                  f"{med_new / med_old:>8.3f}{f'{wins}/{args.pairs}':>8}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,7 @@ policy = SignPolicy(mode="alternating", iteration=1)
 
 def one_vote(topo):
     mine = updates[topo.rank]
-    ps = ps_gather_broadcast(mine, topo, efficient=True)
+    ps = ps_gather_broadcast(mine, topo, q_max=3, efficient=True)
     ring = direct_allreduce(mine, topo, q_max=3)
     onebit = compressed_allreduce_1bit(mine.astype(float), topo, policy)
     return ps, ring, onebit

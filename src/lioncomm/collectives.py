@@ -4,19 +4,22 @@ Four ways to obtain the aggregated update at every rank:
 
 * ``ps_gather_broadcast`` -- parameter-server style: gather at rank 0,
   sum, broadcast (flat sends or binomial trees).
-* ``direct_allreduce`` -- integers summed in a signed lane sized by
-  ``choose_lane_bits``, over a pairwise reduce-scatter + allgather; the
+* ``direct_allreduce`` -- a pairwise reduce-scatter + allgather; the
   exact sum comes back.
 * ``compressed_allreduce_1bit`` -- signs only (``alternating`` policy):
   the same two phases on 1-bit chunks, with a local majority per chunk.
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
   momentum synchronization, not votes).
 
-Every frame is a bare little-endian array: lane or float words, or
-``quant.pack`` sign bits (the 1-bit stage-2 frame puts a 4-byte tie count
-in front).  Every all-to-all and allgather phase is one loop, ``_exchange``,
-and input checks run before the first send.  ``Topology.recv`` is the one
-lockstep check: a frame of the wrong generation, tag or byte length raises
+Both integer votes, ``ps`` and ``direct``, send and sum integers in
+[-q_max, q_max] in the narrowest signed lane whose maximum holds P*q_max
+(``choose_lane_bits``), so no partial sum can overflow; ``ps`` sends a
+full-precision (float) vote as float64 words.  Every frame is a bare
+little-endian array: lane or float words, or ``quant.pack`` sign bits (the
+1-bit stage-2 frame puts a 4-byte tie count in front).  Every all-to-all
+and allgather phase is one loop, ``_exchange``, and input checks run
+before the first send.  ``Topology.recv`` is the one lockstep check: a
+frame of the wrong generation, tag or byte length raises
 ``CollectiveError`` naming the sender, generation and phase, and a peer
 that never sends raises one after the timeout.  No element count is sent,
 so vectors of different lengths whose frames have the same byte length
@@ -40,8 +43,9 @@ TAG_BCAST = 2
 TAG_ALLTOALL = 5
 TAG_REDUCE = 7
 TAG_ALLGATHER = 8
-# ``ps`` sends integer and float sums alike as 8-byte words; float frames
-# add this to their tags, so ranks that mix the two fail the tag check.
+# ``ps`` float frames add this to their tags, so ranks that mix integer
+# (lane) and float inputs fail the tag check even where a float frame and
+# a lane frame have the same byte length.
 TAG_FLOAT_WORDS = 16
 
 LANE_DTYPES = {8: np.int8, 16: np.int16, 32: np.int32}
@@ -146,43 +150,85 @@ def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int, tag: int,
             return None
         partner = topo.rank + mask
         if partner < topo.world_size:
-            acc = acc + decode(topo.recv(partner, tag, gen, size))
+            acc += decode(topo.recv(partner, tag, gen, size))
         mask <<= 1
     return acc
 
 
 def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
                     encode, decode, size: int) -> np.ndarray:
-    """Binomial-tree broadcast of a ``size``-byte frame from rank 0."""
+    """Binomial-tree broadcast of a ``size``-byte frame from rank 0, which
+    encodes it once; every other rank forwards the frame it received."""
     p = topo.world_size
     mask = 1
     while mask < p:
         mask <<= 1
     mask >>= 1
-    out = vec
+    frame = None if vec is None else encode(vec)
     while mask > 0:
         if topo.rank % (mask << 1) == 0:
             peer = topo.rank + mask
             if peer < p:
-                topo.send(peer, tag, encode(out), gen)
+                topo.send(peer, tag, frame, gen)
         elif topo.rank % (mask << 1) == mask:
-            out = decode(topo.recv(topo.rank - mask, tag, gen, size))
+            frame = topo.recv(topo.rank - mask, tag, gen, size)
         mask >>= 1
-    return out
+    return vec if topo.rank == 0 else decode(frame)
 
 
-def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteResult:
+def choose_lane_bits(workers: int, q_max: int) -> int:
+    """Narrowest signed lane in {8, 16, 32} whose maximum holds the
+    worst-case sum ``workers * q_max``."""
+    need = workers * q_max
+    for bits in LANE_DTYPES:
+        if need < 1 << (bits - 1):
+            return bits
+    raise CapacityError(
+        f"sum of {workers} values up to {q_max} exceeds a 32-bit lane")
+
+
+def _lane(q: np.ndarray, workers: int, q_max: int, lane_bits: int | None = None):
+    """The lane dtype in which ``workers`` vectors like ``q`` are summed,
+    after checking, in ``q``'s own dtype, that it holds integers in
+    [-q_max, q_max] and that the lane holds ``workers * q_max``."""
+    need = choose_lane_bits(workers, q_max)
+    lane_bits = need if lane_bits is None else lane_bits
+    if lane_bits not in LANE_DTYPES:
+        raise ConfigError(f"lane_bits must be one of {sorted(LANE_DTYPES)}")
+    if lane_bits < need:
+        raise CapacityError(
+            f"{workers} workers x values up to {q_max} need a {need}-bit "
+            f"lane, not {lane_bits}")
+    if q.dtype.kind not in "iu":
+        raise ConfigError(f"integer votes sum integers, not {q.dtype}")
+    if q.size and (q.min() < -q_max or q.max() > q_max):
+        raise ConfigError(f"values exceed declared q_max={q_max}")
+    return LANE_DTYPES[lane_bits]
+
+
+def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
+                        efficient: bool = False) -> VoteResult:
     """Sum all workers' vectors at rank 0 and hand the sum back to everyone.
 
     ``efficient`` switches flat sends for binomial trees; results are
-    identical either way.  Accepts integer or float vectors, the same kind
-    at every rank: one that differs fails the tag check.
+    identical either way.  Integers in [-q_max, q_max] are sent and summed
+    in the lane ``choose_lane_bits`` picks, as in ``direct_allreduce``, and
+    come back as int64; a float vector is sent as float64 words and needs
+    ``q_max=None``.  An integer vector with no ``q_max``, a float one with
+    one, or a value out of range raises before any send.  Every rank must
+    pass the same kind of vector: one that differs fails the tag check.
     """
-    vec = np.asarray(c_i).ravel()  # widened only by the sum's or codec's copy
-    dtype = np.float64 if np.issubdtype(vec.dtype, np.floating) else np.int64
+    vec = np.asarray(c_i).ravel()  # cast only by the sum's or codec's copy
+    if vec.dtype.kind == "f":
+        if q_max is not None:
+            raise ConfigError(f"a float vote takes no q_max, got {q_max}")
+        dtype, words = np.float64, TAG_FLOAT_WORDS
+    else:
+        if q_max is None:
+            raise ConfigError(f"a {vec.dtype} vote needs q_max")
+        dtype, words = _lane(vec, topo.world_size, q_max), 0
     encode, decode = _codec(dtype)
     size = vec.size * np.dtype(dtype).itemsize
-    words = TAG_FLOAT_WORDS if dtype is np.float64 else 0
     bcast = TAG_BCAST + words
     gen = topo.next_generation()
 
@@ -200,18 +246,9 @@ def ps_gather_broadcast(c_i, topo: Topology, efficient: bool = False) -> VoteRes
         else:
             total = decode(topo.recv(0, bcast, gen, size))
 
+    if dtype is not np.float64:
+        total = total.astype(np.int64)
     return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
-
-
-def choose_lane_bits(workers: int, q_max: int) -> int:
-    """Narrowest signed lane in {8, 16, 32} whose maximum holds the
-    worst-case sum ``workers * q_max``."""
-    need = workers * q_max
-    for bits, dtype in LANE_DTYPES.items():
-        if need <= np.iinfo(dtype).max:
-            return bits
-    raise CapacityError(
-        f"sum of {workers} values up to {q_max} exceeds a 32-bit lane")
 
 
 def direct_allreduce(q_i, topo: Topology, q_max: int,
@@ -225,22 +262,8 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
     the declared range of the quantizer, identical at every rank.
     """
     p = topo.world_size
-    need = choose_lane_bits(p, q_max)
-    lane_bits = need if lane_bits is None else lane_bits
-    if lane_bits not in LANE_DTYPES:
-        raise ConfigError(f"lane_bits must be one of {sorted(LANE_DTYPES)}")
-    if lane_bits < need:
-        raise CapacityError(
-            f"{p} workers x values up to {q_max} need a {need}-bit lane, "
-            f"not {lane_bits}")
-
     q = np.asarray(q_i).ravel()
-    if q.dtype.kind not in "iu":
-        raise ConfigError(f"direct allreduce sums integers, not {q.dtype}")
-    if np.any((q < -q_max) | (q > q_max)):
-        raise ConfigError(f"values exceed declared q_max={q_max}")
-
-    dtype = LANE_DTYPES[lane_bits]
+    dtype = _lane(q, p, q_max, lane_bits)
     encode, decode = _codec(dtype)
     n = q.size
     chunk = -(-n // p)  # ceil
@@ -365,18 +388,16 @@ def run_ranks(world_size: int, fn, transport: Transport | None = None,
     errors: list[tuple[int, BaseException]] = []
 
     def runner(rank: int):
-        if transport_factory is not None:
-            tp = transport_factory(rank)
-        else:
-            tp = transport
-        topo = Topology(world_size=world_size, rank=rank,
-                        transport=tp, timeout=timeout)
+        tp = None
         try:
-            results[rank] = fn(topo)
+            tp = (transport if transport_factory is None
+                  else transport_factory(rank))
+            results[rank] = fn(Topology(world_size=world_size, rank=rank,
+                                        transport=tp, timeout=timeout))
         except BaseException as exc:  # surfaced to the caller below
             errors.append((rank, exc))
         finally:
-            if transport_factory is not None:
+            if transport_factory is not None and tp is not None:
                 tp.close()
 
     threads = [threading.Thread(target=runner, args=(r,), daemon=True)

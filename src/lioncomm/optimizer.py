@@ -130,15 +130,24 @@ def lion_step(state: WorkerState, grad: ParamSet, h: LionHyper) -> WorkerState:
     return WorkerState(params=new_params, momentum=new_mom, iteration=t)
 
 
+def _vote_q_max(spec: QuantSpec | None) -> int | None:
+    """The range [-q_max, q_max] an integer vote declares: 1 for signs, the
+    quantizer's ``qmax`` otherwise; None for a full-precision vote."""
+    if spec is None:
+        return None
+    return 1 if spec.bits == 1 else spec.qmax
+
+
 # Vote algorithm -> the collective over a step's bucket, called as
 # f(bucket, topo, spec, policy).  ``coll.<fn>`` is looked up at call time,
 # so a wrapper installed on the collectives module is seen.
 VOTE_ALGOS = {
-    "ps": lambda b, topo, spec, policy: coll.ps_gather_broadcast(b, topo),
+    "ps": lambda b, topo, spec, policy: coll.ps_gather_broadcast(
+        b, topo, _vote_q_max(spec)),
     "ps_efficient": lambda b, topo, spec, policy: coll.ps_gather_broadcast(
-        b, topo, efficient=True),
+        b, topo, _vote_q_max(spec), efficient=True),
     "direct": lambda b, topo, spec, policy: coll.direct_allreduce(
-        b, topo, q_max=1 if spec.bits == 1 else spec.qmax),
+        b, topo, q_max=_vote_q_max(spec)),
     "compressed1bit": lambda b, topo, spec, policy:
         coll.compressed_allreduce_1bit(b, topo, policy),
 }

@@ -51,8 +51,9 @@ def test_01_collective_oracle_equivalence():
                     v = ints[k][topo.rank]
                     c = reals[k][topo.rank]
                     out.append((
-                        ps_gather_broadcast(v, topo).values,
-                        ps_gather_broadcast(v, topo, efficient=True).values,
+                        ps_gather_broadcast(v, topo, q_max=7).values,
+                        ps_gather_broadcast(v, topo, q_max=7,
+                                            efficient=True).values,
                         direct_allreduce(v, topo, q_max=7).values,
                         compressed_allreduce_1bit(c, topo, policy).values,
                         allreduce_mean_f32(c, topo),

@@ -45,11 +45,12 @@ def per_layer_vote(c, spec, topo, algo, policy, rng):
         q = apply_sign(c, policy)
     else:
         q = quantize(c, spec, rng=rng)
+    q_max = None if spec is None else 1 if spec.bits == 1 else spec.qmax
     if algo in ("ps", "ps_efficient"):
-        vote = ps_gather_broadcast(q, topo, efficient=algo == "ps_efficient")
+        vote = ps_gather_broadcast(q, topo, q_max,
+                                   efficient=algo == "ps_efficient")
     else:
-        vote = direct_allreduce(q, topo,
-                                q_max=1 if spec.bits == 1 else spec.qmax)
+        vote = direct_allreduce(q, topo, q_max=q_max)
     return majority_sign(vote, policy), vote
 
 

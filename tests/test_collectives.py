@@ -44,9 +44,11 @@ class SendCounter(InprocTransport):
     def __init__(self, world_size):
         super().__init__(world_size)
         self.msgs = 0
+        self.sizes = set()
 
     def send(self, src, dst, generation, tag, payload):
         self.msgs += 1
+        self.sizes.add(len(payload))
         super().send(src, dst, generation, tag, payload)
 
 
@@ -59,7 +61,7 @@ class TestPsGatherBroadcast:
         expect = sum_oracle(vecs)
 
         def fn(topo):
-            return ps_gather_broadcast(vecs[topo.rank], topo,
+            return ps_gather_broadcast(vecs[topo.rank], topo, q_max=7,
                                        efficient=efficient)
 
         results = run_vote(world, fn)
@@ -70,10 +72,10 @@ class TestPsGatherBroadcast:
         vecs = make_vectors(5, 33, seed=9)
 
         def flat(topo):
-            return ps_gather_broadcast(vecs[topo.rank], topo).values
+            return ps_gather_broadcast(vecs[topo.rank], topo, q_max=7).values
 
         def tree(topo):
-            return ps_gather_broadcast(vecs[topo.rank], topo,
+            return ps_gather_broadcast(vecs[topo.rank], topo, q_max=7,
                                        efficient=True).values
 
         a = run_vote(5, flat)
@@ -97,7 +99,7 @@ class TestPsGatherBroadcast:
         expect = sum_oracle(signs)
 
         def fn(topo):
-            return ps_gather_broadcast(signs[topo.rank], topo,
+            return ps_gather_broadcast(signs[topo.rank], topo, q_max=1,
                                        efficient=efficient).values
 
         for r, values in enumerate(run_vote(world, fn)):
@@ -105,6 +107,49 @@ class TestPsGatherBroadcast:
             assert np.array_equal(values, expect)
             values[0] = 99  # a copy: the input is untouched
             assert signs[r][0] == (-1) ** r
+
+    @pytest.mark.parametrize("efficient", [False, True])
+    @pytest.mark.parametrize("inputs,q_max", [
+        ([np.array([1, -3]), np.array([3, 0])], 2),
+        ([np.array([1, 2]), np.array([1, 2])], None),
+        ([np.array([0.5, 1.0]), np.array([1.5, 2.0])], 2),
+    ], ids=["out-of-range", "integers-without-q_max", "floats-with-q_max"])
+    def test_bad_input_is_rejected_before_any_send(self, inputs, q_max,
+                                                    efficient):
+        # Every rank fails at once: none sends a frame or waits for one.
+        transport = SendCounter(2)
+        t0 = time.monotonic()
+        errors = errors_per_rank(2, lambda topo: ps_gather_broadcast(
+            inputs[topo.rank], topo, q_max=q_max, efficient=efficient),
+            transport, timeout=3)
+        assert time.monotonic() - t0 < 0.5
+        assert all(isinstance(e, ConfigError) for e in errors)
+        assert transport.msgs == 0
+
+    @pytest.mark.parametrize("efficient", [False, True])
+    def test_capacity_guard_fires_before_any_communication(self, efficient):
+        transport = InprocTransport(2)
+        topo = Topology(world_size=2, rank=0, transport=transport)
+        with pytest.raises(CapacityError):
+            ps_gather_broadcast(np.zeros(4, dtype=np.int64), topo,
+                                q_max=2 ** 30, efficient=efficient)
+        assert all(q.empty() for q in transport._queues.values())
+
+    @pytest.mark.parametrize("world,q_max,itemsize", [
+        (2, 1, 1), (4, 127, 2), (2, 2 ** 15, 4)])
+    @pytest.mark.parametrize("efficient", [False, True])
+    def test_integer_frames_use_the_lane(self, world, q_max, itemsize,
+                                         efficient):
+        # The first two elements sum to the lane's worst case, +-world * q_max.
+        transport = SendCounter(world)
+        vecs = [np.array([q_max, -q_max, 0, 1, -1]) for _ in range(world)]
+        results = run_ranks(world, lambda topo: ps_gather_broadcast(
+            vecs[topo.rank], topo, q_max=q_max, efficient=efficient).values,
+            transport=transport)
+        assert transport.sizes == {5 * itemsize}
+        for values in results:
+            assert values.dtype == np.int64
+            assert np.array_equal(values, sum_oracle(vecs))
 
 
 class TestDirectAllreduce:
@@ -243,7 +288,7 @@ class TestCompressed1Bit:
 
 
 class TestCompressedMatchesPsSignVote:
-    """The 1-bit vote equals the int64 ``ps`` sign vote and a numpy oracle."""
+    """The 1-bit vote equals the ``ps`` sign vote and a numpy oracle."""
 
     @pytest.mark.parametrize("world", [1, 2, 3, 5])
     @pytest.mark.parametrize("iteration", [1, 2])
@@ -261,7 +306,8 @@ class TestCompressedMatchesPsSignVote:
 
         def fn(topo):
             one_bit = compressed_allreduce_1bit(cs[topo.rank], topo, policy)
-            ps = ps_gather_broadcast(apply_sign(cs[topo.rank], policy), topo)
+            ps = ps_gather_broadcast(apply_sign(cs[topo.rank], policy), topo,
+                                     q_max=1)
             return one_bit, majority_sign(ps, policy), ps.ties
 
         for one_bit, ps_sign, ps_ties in run_vote(world, fn):
@@ -339,7 +385,8 @@ class TestRobustness:
         def fn(topo):
             if topo.rank == 1:
                 return None  # rank 1 never participates
-            return ps_gather_broadcast(np.array([1], dtype=np.int64), topo)
+            return ps_gather_broadcast(np.array([1], dtype=np.int64), topo,
+                                       q_max=1)
 
         with pytest.raises(CollectiveError) as e:
             run_ranks(2, fn, transport=InprocTransport(2),
@@ -372,12 +419,31 @@ class TestRobustness:
     @pytest.mark.parametrize("efficient", [False, True])
     def test_ps_rejects_mixed_integer_and_float_inputs(self, world,
                                                         efficient):
-        # Both travel as 8-byte words, so only the tag tells them apart.
+        # Float frames carry their own tags, so the first frame of the
+        # other kind fails the tag check.
         xs = [np.array([0.5, 1.0])] + [np.array([1, 2])] * (world - 1)
         errors = errors_per_rank(world, lambda topo: ps_gather_broadcast(
-            xs[topo.rank], topo, efficient=efficient),
-            InprocTransport(world), timeout=0.5)
+            xs[topo.rank], topo, q_max=None if topo.rank == 0 else 2,
+            efficient=efficient), InprocTransport(world), timeout=0.5)
         assert all(isinstance(e, CollectiveError) for e in errors)
+
+    def test_transport_set_up_failure_is_raised(self):
+        # Rank 0's transport fails to build; rank 1's is built and closed.
+        built = []
+
+        class Closing(InprocTransport):
+            def close(self):
+                built.remove(self)
+
+        def factory(rank):
+            if rank == 0:
+                raise CollectiveError("bind failed", rank=0)
+            built.append(Closing(2))
+            return built[-1]
+
+        with pytest.raises(CollectiveError, match="bind failed"):
+            run_ranks(2, lambda topo: "ok", transport_factory=factory)
+        assert built == []
 
     def test_repeat_runs_are_deterministic(self):
         vecs = make_vectors(4, 77, seed=21)
@@ -406,7 +472,7 @@ class TestSocketTransportParity:
                 vote = compressed_allreduce_1bit(signs[topo.rank].astype(float),
                                                  topo, policy)
                 return majority_sign(vote, policy)
-            return ps_gather_broadcast(signs[topo.rank], topo).values
+            return ps_gather_broadcast(signs[topo.rank], topo, q_max=1).values
 
         inproc = run_vote(world, fn)
         port = 29500 + {"direct": 0, "compressed": 10, "ps": 20}[algo]

@@ -103,7 +103,7 @@ def test_peer_closing_mid_collective_fails_at_once(mesh):
     closer.start()
     t0 = time.monotonic()
     with pytest.raises(CollectiveError, match="closed") as err:
-        ps_gather_broadcast(np.ones(4, dtype=np.int8), topo)
+        ps_gather_broadcast(np.ones(4, dtype=np.int8), topo, q_max=1)
     assert time.monotonic() - t0 < 2
     assert (err.value.rank, err.value.generation, err.value.phase) == (1, 1, "tag 1")
     closer.join(timeout=5)

@@ -9,6 +9,7 @@ from lioncomm.errors import ConfigError
 from lioncomm.optimizer import (VOTE_ALGOS, LionHyper, WorkerState,
                                 distributed_lion_step)
 from lioncomm.quant import INF, QuantSpec
+from lioncomm.transport import InprocTransport
 
 H = LionHyper(lr=0.01)
 STOCHASTIC = QuantSpec(bits=8, norm_p=INF, rounding="stochastic")
@@ -70,3 +71,27 @@ def test_direct_keeps_exact_ternary_sign_votes_like_ps(world):
         for name in START.params:
             assert np.array_equal(d.params[name], p.params[name])
     assert direct[0].params["a"][0] == 0.0
+
+
+class FrameSizes(InprocTransport):
+    def __init__(self, world_size):
+        super().__init__(world_size)
+        self.sizes = set()
+
+    def send(self, src, dst, generation, tag, payload):
+        self.sizes.add(len(payload))
+        super().send(src, dst, generation, tag, payload)
+
+
+@pytest.mark.parametrize("algo", ["ps", "ps_efficient"])
+@pytest.mark.parametrize("spec,word", [
+    (QuantSpec(bits=8), 2),  # 4 x 127 needs a 16-bit lane
+    (QuantSpec(bits=1), 1),  # 4 x 1 fits an 8-bit lane
+    (None, 8),               # full precision: float64 words
+])
+def test_ps_words_are_sized_by_the_quantizer_range(algo, spec, word):
+    transport = FrameSizes(4)
+    run_ranks(4, lambda topo: distributed_lion_step(START, GRAD, H, spec,
+                                                    topo, algo),
+              transport=transport)
+    assert transport.sizes == {8 * word}  # 8 parameters in one bucket

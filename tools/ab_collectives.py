@@ -8,8 +8,11 @@ Each pair runs both sides, one after the other, in alternating order
 fresh interpreter that pins itself to one core with
 ``os.sched_setaffinity``, imports lioncomm from its source tree, and
 times the six collectives in-process at P=4 (threads on one
-``InprocTransport``): ``ps``, ``ps_efficient``, ``direct`` (8-bit
-integers, q_max=127), ``compressed1bit``, ``allreduce_mean_f32`` and
+``InprocTransport``): the four votes ``ps``, ``ps_efficient``, ``direct``
+and ``compressed1bit``, called through ``optimizer.VOTE_ALGOS`` with
+``QuantSpec(bits=8)`` (8-bit integers in [-127, 127]; real vectors for
+the 1-bit vote), so both sides are called the same way whatever their
+collectives' signatures; then ``allreduce_mean_f32`` and
 ``allgather_f64``.  A side's figure for a collective and N is the median
 of rank 0's per-call wall time over its repetitions.
 
@@ -47,25 +50,25 @@ def worker(src: str, sizes: list[int]) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import lioncomm
     from lioncomm import collectives as coll
-    from lioncomm.quant import SignPolicy
+    from lioncomm.optimizer import VOTE_ALGOS
+    from lioncomm.quant import QuantSpec, SignPolicy
     from lioncomm.transport import InprocTransport
 
     if not os.path.abspath(lioncomm.__file__).startswith(os.path.abspath(src)):
         raise SystemExit(f"lioncomm imported from {lioncomm.__file__}, "
                          f"not from {src}")
     policy = SignPolicy("alternating", iteration=1)
-    calls = {
-        "ps": lambda x, q, topo: coll.ps_gather_broadcast(q, topo),
-        "ps_efficient": lambda x, q, topo: coll.ps_gather_broadcast(
-            q, topo, efficient=True),
-        "direct": lambda x, q, topo: coll.direct_allreduce(q, topo,
-                                                           q_max=127),
-        "compressed1bit": lambda x, q, topo: coll.compressed_allreduce_1bit(
-            x, topo, policy),
-        "allreduce_mean_f32": lambda x, q, topo: coll.allreduce_mean_f32(
-            x, topo),
-        "allgather_f64": lambda x, q, topo: coll.allgather_f64(x, topo),
-    }
+    spec = QuantSpec(bits=8)
+
+    def vote(name, real):
+        return lambda x, q, topo: VOTE_ALGOS[name](x if real else q, topo,
+                                                   spec, policy)
+
+    calls = {name: vote(name, name == "compressed1bit")
+             for name in COLLECTIVES[:4]}
+    calls["allreduce_mean_f32"] = lambda x, q, topo: coll.allreduce_mean_f32(
+        x, topo)
+    calls["allgather_f64"] = lambda x, q, topo: coll.allgather_f64(x, topo)
     out = {}
     for n in sizes:
         rng = np.random.default_rng(n)

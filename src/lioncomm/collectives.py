@@ -11,30 +11,37 @@ Four ways to obtain the aggregated update at every rank:
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
   momentum synchronization, not votes).
 
-Both integer votes, ``ps`` and ``direct``, send and sum integers in
-[-q_max, q_max] in the narrowest signed lane whose maximum holds P*q_max
-(``choose_lane_bits``), so no partial sum can overflow; ``ps`` sends a
-full-precision (float) vote as float64 words.  Every frame is a bare
-little-endian array: lane or float words, or ``quant.pack`` sign bits (the
-1-bit stage-2 frame puts a 4-byte tie count in front).  Every all-to-all
-and allgather phase is one loop, ``_exchange``, and input checks run
-before the first send.  ``Topology.recv`` is the one lockstep check: a
-frame of the wrong generation, tag or byte length raises
-``CollectiveError`` naming the sender, generation and phase, and a peer
-that never sends raises one after the timeout.  No element count is sent,
-so vectors of different lengths whose frames have the same byte length
-pass (``direct`` at P=4 with N=7 and N=8); ``run_training``'s final
+Both integer votes, ``ps`` and ``direct``, sum integers in [-q_max, q_max]
+in the narrowest signed lane whose maximum holds P*q_max
+(``choose_lane_bits``), so no partial sum can overflow.  Each frame rides
+the narrowest lane for the sum it carries: ``choose_lane_bits(k, q_max)``
+for the sum of k ranks' values (k=1 for a rank's own values, the subtree
+size for a tree's partial sum, P for a total), down to 2- and 4-bit
+``quant.pack_ints`` fields; ``ps`` sends a full-precision (float) vote as
+float64 words.  Every frame is bare: little-endian lane or float words,
+packed fields, or ``quant.pack`` sign bits (the 1-bit stage-2 frame puts a
+4-byte tie count in front).  Every all-to-all and allgather phase is one
+loop, ``_exchange``, and input checks run before the first send.
+``Topology.recv`` is the one lockstep check: a frame of the wrong
+generation, tag or byte length raises ``CollectiveError`` naming the
+sender, generation and phase, and a peer that never sends raises one after
+the timeout.  No element count is sent, so vectors of different lengths
+whose frames have the same byte length pass.  Packed lanes widen that
+gap: ``direct`` at P=4 with N=7 and N=8 (chunks of 2 in every lane), and
+at P=2 sign votes N=5 through N=8 (2-bit chunks of 3 or 4 values, one
+byte each; their 4-bit sums, two bytes each).  ``run_training``'s final
 parameter hash check still catches ranks that end up different.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, CollectiveError, ConfigError
-from .quant import SignPolicy, apply_sign, pack, unpack
+from .quant import SignPolicy, apply_sign, pack, pack_ints, unpack, unpack_ints
 from .transport import DEFAULT_TIMEOUT, InprocTransport, Transport
 
 # Tags distinguish phases within one collective generation.
@@ -48,7 +55,9 @@ TAG_ALLGATHER = 8
 # a lane frame have the same byte length.
 TAG_FLOAT_WORDS = 16
 
-LANE_DTYPES = {8: np.int8, 16: np.int16, 32: np.int32}
+# Signed lane width -> the dtype its values are summed in.  The 2- and
+# 4-bit lanes sum in int8 and travel as ``quant.pack_ints`` fields.
+LANE_DTYPES = {2: np.int8, 4: np.int8, 8: np.int8, 16: np.int16, 32: np.int32}
 
 
 @dataclass
@@ -97,6 +106,7 @@ class VoteResult:
     ties: int = 0
 
 
+@functools.lru_cache(maxsize=None)
 def _codec(dtype):
     """(encode, decode) of a vector as little-endian ``dtype`` bytes.  decode
     returns a writable array, copying only a read-only payload (in-process
@@ -126,9 +136,11 @@ def _exchange(topo: Topology, tag: int, gen: int, payloads, size: int,
 
 
 def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
-                encode, decode, dtype, size: int) -> np.ndarray | None:
-    """Flat sum at rank 0 of ``size``-byte frames, accumulated in a fresh
-    ``dtype`` array.  Returns the sum at rank 0, None elsewhere."""
+                frame, dtype) -> np.ndarray | None:
+    """Flat sum at rank 0 of every rank's vector, each sent as one
+    ``frame`` = (encode, decode, size), accumulated in a fresh ``dtype``
+    array.  Returns the sum at rank 0, None elsewhere."""
+    encode, decode, size = frame
     if topo.rank != 0:
         topo.send(0, tag, encode(vec), gen)
         return None
@@ -139,26 +151,33 @@ def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
 
 
 def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int, tag: int,
-                         encode, decode, dtype, size: int) -> np.ndarray | None:
-    """Binomial-tree sum at rank 0 of ``size``-byte frames, accumulated in a
-    fresh ``dtype`` array.  Returns the sum at rank 0, None elsewhere."""
+                         frames, dtype) -> np.ndarray | None:
+    """Binomial-tree sum at rank 0, accumulated in a fresh ``dtype`` array.
+    The partial sum of a subtree of k ranks travels in the frame
+    ``frames(k)`` gives as (encode, decode, size).  Returns the sum at
+    rank 0, None elsewhere."""
+    p = topo.world_size
     acc = vec.astype(dtype)
     mask = 1
-    while mask < topo.world_size:
+    while mask < p:
         if topo.rank & mask:
+            encode, _, _ = frames(min(mask, p - topo.rank))
             topo.send(topo.rank - mask, tag, encode(acc), gen)
             return None
         partner = topo.rank + mask
-        if partner < topo.world_size:
+        if partner < p:
+            _, decode, size = frames(min(mask, p - partner))
             acc += decode(topo.recv(partner, tag, gen, size))
         mask <<= 1
     return acc
 
 
 def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
-                    encode, decode, size: int) -> np.ndarray:
-    """Binomial-tree broadcast of a ``size``-byte frame from rank 0, which
-    encodes it once; every other rank forwards the frame it received."""
+                    frame) -> np.ndarray:
+    """Binomial-tree broadcast from rank 0, which encodes ``vec`` once as
+    ``frame`` = (encode, decode, size); every other rank forwards the frame
+    it received."""
+    encode, decode, size = frame
     p = topo.world_size
     mask = 1
     while mask < p:
@@ -177,7 +196,7 @@ def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
 
 
 def choose_lane_bits(workers: int, q_max: int) -> int:
-    """Narrowest signed lane in {8, 16, 32} whose maximum holds the
+    """Narrowest signed lane in {2, 4, 8, 16, 32} whose maximum holds the
     worst-case sum ``workers * q_max``."""
     need = workers * q_max
     for bits in LANE_DTYPES:
@@ -187,9 +206,10 @@ def choose_lane_bits(workers: int, q_max: int) -> int:
         f"sum of {workers} values up to {q_max} exceeds a 32-bit lane")
 
 
-def _lane(q: np.ndarray, workers: int, q_max: int, lane_bits: int | None = None):
-    """The lane dtype in which ``workers`` vectors like ``q`` are summed,
-    after checking, in ``q``'s own dtype, that it holds integers in
+def _lane(q: np.ndarray, workers: int, q_max: int,
+          lane_bits: int | None = None) -> int:
+    """The width of the lane in which ``workers`` vectors like ``q`` are
+    summed, after checking, in ``q``'s own dtype, that it holds integers in
     [-q_max, q_max] and that the lane holds ``workers * q_max``."""
     need = choose_lane_bits(workers, q_max)
     lane_bits = need if lane_bits is None else lane_bits
@@ -203,7 +223,18 @@ def _lane(q: np.ndarray, workers: int, q_max: int, lane_bits: int | None = None)
         raise ConfigError(f"integer votes sum integers, not {q.dtype}")
     if q.size and (q.min() < -q_max or q.max() > q_max):
         raise ConfigError(f"values exceed declared q_max={q_max}")
-    return LANE_DTYPES[lane_bits]
+    return lane_bits
+
+
+def _lane_frames(bits: int, count: int):
+    """(encode, decode, size) of a frame of ``count`` integers in the signed
+    ``bits``-wide lane: ``quant.pack_ints`` fields below 8 bits, little-endian
+    lane words from 8 bits up."""
+    if bits < 8:
+        return (lambda a: pack_ints(a, bits),
+                lambda b: unpack_ints(b, count, bits), (count * bits + 7) // 8)
+    encode, decode = _codec(LANE_DTYPES[bits])
+    return encode, decode, count * bits // 8
 
 
 def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
@@ -211,44 +242,52 @@ def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
     """Sum all workers' vectors at rank 0 and hand the sum back to everyone.
 
     ``efficient`` switches flat sends for binomial trees; results are
-    identical either way.  Integers in [-q_max, q_max] are sent and summed
-    in the lane ``choose_lane_bits`` picks, as in ``direct_allreduce``, and
-    come back as int64; a float vector is sent as float64 words and needs
-    ``q_max=None``.  An integer vector with no ``q_max``, a float one with
-    one, or a value out of range raises before any send.  Every rank must
-    pass the same kind of vector: one that differs fails the tag check.
+    identical either way.  Integers in [-q_max, q_max] are summed in the
+    lane ``choose_lane_bits(P, q_max)`` picks, as in ``direct_allreduce``,
+    and come back as int64; a frame that carries the sum of k ranks'
+    values travels in ``choose_lane_bits(k, q_max)``: k=1 for a rank's own
+    vector (flat gather, tree leaves), the subtree size for a tree's
+    partial sums, P for the broadcast.  A float vector is sent as float64
+    words and needs ``q_max=None``.  An integer vector with no ``q_max``, a
+    float one with one, or a value out of range raises before any send.
+    Every rank must pass the same kind of vector: one that differs fails
+    the tag check.
     """
     vec = np.asarray(c_i).ravel()  # cast only by the sum's or codec's copy
+    p = topo.world_size
     if vec.dtype.kind == "f":
         if q_max is not None:
             raise ConfigError(f"a float vote takes no q_max, got {q_max}")
-        dtype, words = np.float64, TAG_FLOAT_WORDS
+        words = (*_codec(np.float64), vec.nbytes)
+        dtype, extra = np.float64, TAG_FLOAT_WORDS
+        frames = lambda k: words
     else:
         if q_max is None:
             raise ConfigError(f"a {vec.dtype} vote needs q_max")
-        dtype, words = _lane(vec, topo.world_size, q_max), 0
-    encode, decode = _codec(dtype)
-    size = vec.size * np.dtype(dtype).itemsize
-    bcast = TAG_BCAST + words
+        dtype, extra = LANE_DTYPES[_lane(vec, p, q_max)], 0
+        frames = lambda k: _lane_frames(choose_lane_bits(k, q_max), vec.size)
+    bcast_tag, bcast = TAG_BCAST + extra, frames(p)
     gen = topo.next_generation()
 
     if efficient:
-        total = _tree_reduce_to_root(vec, topo, gen, TAG_REDUCE + words,
-                                     encode, decode, dtype, size)
-        total = _tree_broadcast(total, topo, gen, bcast, encode, decode, size)
+        total = _tree_reduce_to_root(vec, topo, gen, TAG_REDUCE + extra,
+                                     frames, dtype)
+        total = _tree_broadcast(total, topo, gen, bcast_tag, bcast)
     else:
-        total = _gather_sum(vec, topo, gen, TAG_GATHER + words, encode,
-                            decode, dtype, size)
+        total = _gather_sum(vec, topo, gen, TAG_GATHER + extra, frames(1),
+                            dtype)
+        encode, decode, size = bcast
         if topo.rank == 0:
             payload = encode(total)
-            for dst in range(1, topo.world_size):
-                topo.send(dst, bcast, payload, gen)
+            for dst in range(1, p):
+                topo.send(dst, bcast_tag, payload, gen)
         else:
-            total = decode(topo.recv(0, bcast, gen, size))
+            total = decode(topo.recv(0, bcast_tag, gen, size))
 
-    if dtype is not np.float64:
+    ties = int(np.count_nonzero(total == 0))  # in the lane, before widening
+    if not extra:
         total = total.astype(np.int64)
-    return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
+    return VoteResult(values=total, ties=ties)
 
 
 def direct_allreduce(q_i, topo: Topology, q_max: int,
@@ -256,36 +295,41 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
     """Exact elementwise sum across ranks: the vector is cut into P chunks,
     rank j sums chunk j of every rank, and allgathers the summed chunk.
 
-    Integers in [-q_max, q_max] are summed in the signed lane that
-    ``choose_lane_bits`` picks; the dtype, range and capacity checks run
-    in the input's own dtype, before any communication.  ``q_max`` must be
-    the declared range of the quantizer, identical at every rank.
+    Integers in [-q_max, q_max] are summed in the signed lane
+    ``lane_bits``, by default the one ``choose_lane_bits(P, q_max)`` picks;
+    the dtype, range and capacity checks run in the input's own dtype,
+    before any communication.  A reduce-scatter chunk carries one rank's
+    own values and travels in ``choose_lane_bits(1, q_max)``; a summed
+    chunk travels in the sum lane.  ``q_max`` must be the declared range of
+    the quantizer, identical at every rank.
     """
     p = topo.world_size
     q = np.asarray(q_i).ravel()
-    dtype = _lane(q, p, q_max, lane_bits)
-    encode, decode = _codec(dtype)
+    sum_bits = _lane(q, p, q_max, lane_bits)
+    own_bits = choose_lane_bits(1, q_max)
     n = q.size
     chunk = -(-n // p)  # ceil
-    padded = np.zeros(chunk * p, dtype=dtype)
+    padded = np.zeros(chunk * p, dtype=LANE_DTYPES[own_bits])
     padded[:n] = q
     chunks = [padded[i * chunk:(i + 1) * chunk] for i in range(p)]
-    size = chunks[0].nbytes
 
     gen = topo.next_generation()
     r = topo.rank
-    # Reduce-scatter: rank j sums the P copies of chunk j in its lane;
+    # Reduce-scatter: rank j sums the P copies of chunk j in the sum lane;
     # overflow is ruled out by the capacity check above.
+    encode, decode, size = _lane_frames(own_bits, chunk)
     parts = _exchange(topo, TAG_ALLTOALL, gen,
                       [None if j == r else encode(c)
                        for j, c in enumerate(chunks)], size, decode, chunks[r])
-    reduced = parts.pop(r)  # this rank's chunk, a view of ``padded``
+    reduced = parts.pop(r).astype(LANE_DTYPES[sum_bits])
     for part in parts:
         reduced += part
+    encode, decode, size = _lane_frames(sum_bits, chunk)
     full = _exchange(topo, TAG_ALLGATHER, gen, [encode(reduced)] * p, size,
                      decode, reduced)
-    summed = np.concatenate(full)[:n].astype(np.int64)
-    return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
+    summed = np.concatenate(full)[:n]
+    ties = int(np.count_nonzero(summed == 0))  # in the lane, before widening
+    return VoteResult(values=summed.astype(np.int64), ties=ties)
 
 
 def compressed_allreduce_1bit(c_i, topo: Topology,
@@ -354,13 +398,11 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
     hands every rank the same bits.
     """
     vec = np.asarray(x, dtype=np.float32).ravel()
-    encode, decode = _codec(np.float32)
+    frame = (*_codec(np.float32), vec.nbytes)
     gen = topo.next_generation()
-    acc = _gather_sum(vec, topo, gen, TAG_REDUCE, encode, decode, np.float64,
-                      vec.nbytes)
+    acc = _gather_sum(vec, topo, gen, TAG_REDUCE, frame, np.float64)
     mean = None if acc is None else (acc / topo.world_size).astype(np.float32)
-    return _tree_broadcast(mean, topo, gen, TAG_BCAST, encode, decode,
-                           vec.nbytes)
+    return _tree_broadcast(mean, topo, gen, TAG_BCAST, frame)
 
 
 def allgather_f64(x, topo: Topology) -> list[np.ndarray]:

@@ -17,12 +17,13 @@ class CapacityError(ConfigError):
 
 
 class PackRangeError(LionCommError):
-    """A value to be packed as a sign bit is not -1 or +1."""
+    """A value to be packed does not fit its field: a sign bit takes only
+    -1 or +1, a b-bit integer field [-2^(b-1), 2^(b-1) - 1]."""
 
-    def __init__(self, index: int, value):
+    def __init__(self, index: int, value, allowed: str = "a sign (-1 or +1)"):
         self.index = index
         self.value = value
-        super().__init__(f"value {value} at index {index} is not a sign (-1 or +1)")
+        super().__init__(f"value {value} at index {index} is not {allowed}")
 
 
 class PackFormatError(LionCommError):

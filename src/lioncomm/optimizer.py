@@ -219,8 +219,11 @@ def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
     policy = SignPolicy(mode=zero_mode, iteration=t)
     names = sorted(state.params)
     cs = []
+    # In-place steps on fresh arrays: the same operations in the same order
+    # as ``lion_step``'s formulas, so the same bits, with fewer temporaries.
     for name in names:
-        c = h.beta1 * state.momentum[name] + (1.0 - h.beta1) * grad_i[name]
+        c = np.multiply(h.beta1, state.momentum[name])
+        c += (1.0 - h.beta1) * grad_i[name]
         if mask is not None and name in mask:
             c = np.where(mask[name], c, 0.0)
         cs.append(c)
@@ -229,8 +232,12 @@ def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
     new_mom: ParamSet = {}
     for name, update_sign in zip(names, signs):
         theta, m = state.params[name], state.momentum[name]
-        new_params[name] = theta - eta * (update_sign + h.weight_decay * theta)
-        new_mom[name] = h.beta2 * m + (1.0 - h.beta2) * grad_i[name]
+        step = np.multiply(h.weight_decay, theta)
+        step += update_sign
+        step *= eta
+        new_params[name] = np.subtract(theta, step, out=step)
+        new_mom[name] = np.multiply(h.beta2, m)
+        new_mom[name] += (1.0 - h.beta2) * grad_i[name]
     if metrics_out is not None:
         metrics_out["ties"] = vote.ties
         metrics_out["vote_sign"] = dict(zip(names, signs))

@@ -4,14 +4,17 @@ The central piece is ``quantize``, an L_p-normalized integer quantizer:
 instead of scaling by the max-norm (which a single outlier can blow up),
 values are scaled by the mean p-norm, so heavy-tailed inputs keep most of
 their resolution.  ``pack``/``unpack`` turn {-1, +1} sign vectors into
-bare ``np.packbits(..., bitorder="little")`` bytes for the 1-bit wire.
+bare ``np.packbits(..., bitorder="little")`` bytes for the 1-bit wire;
+``pack_ints``/``unpack_ints`` do the same for signed 2- and 4-bit integer
+fields, the sub-byte lanes of the integer votes.
 
-The sign path stays in narrow dtypes: ``apply_sign`` and ``unpack``
-return int8.  A packed payload carries no count, width or header: the
-receiver knows the count, ``unpack`` rejects a payload that is not
-ceil(count/8) bytes, and ``Topology.recv`` rejects a frame of the wrong
-length first.  Two counts that pack to the same number of bytes are not
-told apart.
+The sign path stays in narrow dtypes: ``apply_sign``, ``unpack`` and
+``unpack_ints`` return int8, and ``quantize`` returns the narrowest signed
+dtype that holds its range.  A packed payload carries no count, width or
+header: the receiver knows the count, ``unpack`` rejects a payload that is
+not ceil(count/8) bytes (``unpack_ints``: ceil(count*bits/8)), and
+``Topology.recv`` rejects a frame of the wrong length first.  Two counts
+that pack to the same number of bytes are not told apart.
 """
 
 from __future__ import annotations
@@ -107,16 +110,20 @@ def lp_mean_norm(x: np.ndarray, p: float) -> float:
     return float(m * np.mean((a / m) ** p) ** (1.0 / p))
 
 
-def sround(v: Union[float, np.ndarray], rng: np.random.Generator) -> np.ndarray:
+def sround(v: Union[float, np.ndarray], rng: np.random.Generator,
+           dtype=np.int64) -> np.ndarray:
     """Stochastic rounding, unbiased in expectation.
 
-    Rounds down with probability ceil(v) - v, up otherwise, elementwise.
+    Rounds down with probability ceil(v) - v, up otherwise, elementwise, to
+    integers of ``dtype``, which must hold floor(v) and ceil(v).
     """
     v = np.asarray(v, dtype=np.float64)
     lo = np.floor(v)
     frac = v - lo
     up = rng.random(v.shape) < frac
-    return (lo + up).astype(np.int64)
+    q = lo.astype(dtype)
+    q += up
+    return q
 
 
 def _log_map(x: np.ndarray, s: float) -> np.ndarray:
@@ -132,6 +139,14 @@ def _scale(spec: QuantSpec, norm: float) -> float:
     return norm if spec.norm_p == INF else 2.0 * norm
 
 
+def _int_dtype(qmax: int):
+    """Narrowest signed integer dtype that holds [-qmax, qmax]."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if qmax <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def quantize(x: np.ndarray, spec: QuantSpec,
              rng: np.random.Generator | None = None) -> np.ndarray:
     """Quantize a real vector to integers in [-qmax, qmax].
@@ -139,12 +154,14 @@ def quantize(x: np.ndarray, spec: QuantSpec,
     Finite p:  q_i = clamp(round(qmax / (2 M_p(x)) * x_i), +-qmax).
     p = inf:   q_i = sround(qmax / max|x| * x_i)  (stochastic rounding,
                pass ``rng``; ``rounding="nearest"`` overrides for ablations).
-    An all-zero input returns the all-zero vector.
+    An all-zero input returns the all-zero vector.  The result's dtype is
+    the narrowest signed one that holds qmax: int8 for bits <= 8.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ConfigError("quantize of an empty vector")
     qmax = spec.qmax
+    dtype = _int_dtype(qmax)
 
     y = x
     log_scale = None
@@ -155,20 +172,23 @@ def quantize(x: np.ndarray, spec: QuantSpec,
 
     m = lp_mean_norm(y, spec.norm_p)
     if m == 0 or qmax == 0:
-        q = np.zeros(x.shape, dtype=np.int64)
+        q = np.zeros(x.shape, dtype=dtype)
     else:
+        # Rounding is monotone and fixes integers, so clamping first gives
+        # the integers clamping the rounded values would, already in range
+        # for ``dtype``; sround draws one number per element either way.
         scaled = (qmax / _scale(spec, m)) * y
+        np.clip(scaled, -qmax, qmax, out=scaled)
         if spec.rounding == "stochastic":
             if rng is None:
                 raise ConfigError("stochastic rounding needs an rng")
-            q = sround(scaled, rng)
+            q = sround(scaled, rng, dtype)
         else:
-            q = np.round(scaled).astype(np.int64)
-        q = np.clip(q, -qmax, qmax)
+            q = np.round(scaled).astype(dtype)
 
     if spec.no_zero:
         fix = (q == 0) & (x != 0)
-        q = np.where(fix, np.sign(x).astype(np.int64), q)
+        q = np.where(fix, np.sign(x).astype(dtype), q)
     return q
 
 
@@ -234,3 +254,51 @@ def unpack(payload, count: int) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count,
                          bitorder="little")
     return 2 * bits.view(np.int8) - 1
+
+
+def pack_ints(values: np.ndarray, bits: int) -> bytes:
+    """Bare ``bits``-wide two's-complement fields (``bits`` 2 or 4) of an
+    integer vector in [-2^(bits-1), 2^(bits-1) - 1]: element 0 in the low
+    bits of byte 0, ceil(n*bits/8) bytes with the padding bits clear."""
+    if bits not in (2, 4):
+        raise ConfigError(f"packed integer fields are 2 or 4 bits, not {bits}")
+    a = np.asarray(values).ravel()
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    if a.size and (a.min() < lo or a.max() > hi):
+        i = int(np.argmax((a < lo) | (a > hi)))
+        raise PackRangeError(i, a[i].item(), f"a {bits}-bit field ({lo}..{hi})")
+    per = 8 // bits
+    fields = np.zeros(-(-a.size // per) * per, dtype=np.uint8)
+    np.bitwise_and(a, (1 << bits) - 1, out=fields[:a.size], casting="unsafe")
+    # One field per byte; whole-word shifts gather each word's ``per``
+    # fields into its low byte (a 4-byte word at 2 bits, 2 bytes at 4).
+    words = fields.view("<u4" if bits == 2 else "<u2")
+    for k in range(per.bit_length() - 1):
+        words |= words >> ((8 - bits) << k)
+    return words.astype(np.uint8).tobytes()
+
+
+def unpack_ints(payload, count: int, bits: int) -> np.ndarray:
+    """Exact inverse of ``pack_ints``: ``count`` integers as int8.
+
+    The payload must be exactly ceil(count*bits/8) bytes.
+    """
+    if bits not in (2, 4):
+        raise ConfigError(f"packed integer fields are 2 or 4 bits, not {bits}")
+    expected = (count * bits + 7) // 8
+    if len(payload) != expected:
+        raise PackFormatError(
+            f"payload is {len(payload)} bytes, expected {expected} "
+            f"for {count} {bits}-bit integers")
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    # Spread each byte over a word of ``8 // bits`` bytes, field j in the top
+    # bits of byte j; an arithmetic right shift then sign-extends them all.
+    words = raw.astype("<u4" if bits == 2 else "<u2")
+    spread = words << (8 - bits)
+    shifted = np.empty_like(words)
+    for j in range(2, 8 // bits + 1):
+        np.left_shift(words, j * (8 - bits), out=shifted)
+        spread |= shifted
+    fields = spread.view(np.int8)
+    fields >>= 8 - bits
+    return fields[:count]

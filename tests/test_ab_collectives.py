@@ -20,3 +20,18 @@ def test_ab_harness_runs_both_sides_and_reports_every_collective():
     for row in rows:
         assert row[1] == "3" and row[-1] in ("0/1", "1/1")
         assert float(row[2]) > 0 and float(row[4]) > 0
+
+
+def test_ab_harness_times_the_wire_shape():
+    # P=2 sign votes: the 2- and 4-bit lanes of the benchmark's wire shape.
+    src = os.path.join(ROOT, "src")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_collectives.py"),
+         "--parent", src, "--change", src, "--n", "9", "--pairs", "1",
+         "--world", "2", "--bits", "1"],
+        capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("P=2, 1-bit values")
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) == 6 and {r[1] for r in rows} == {"9"}
+    assert all(float(r[2]) > 0 and float(r[4]) > 0 for r in rows)

@@ -3,8 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from lioncomm.collectives import (Topology, VoteResult, allgather_f64,
-                                  allreduce_mean_f32, choose_lane_bits,
+from lioncomm.collectives import (LANE_DTYPES, Topology, VoteResult,
+                                  allgather_f64, allreduce_mean_f32,
+                                  choose_lane_bits,
                                   compressed_allreduce_1bit, direct_allreduce,
                                   majority_sign, ps_gather_broadcast,
                                   run_ranks)
@@ -12,6 +13,7 @@ from lioncomm.errors import (CapacityError, CollectiveError, ConfigError,
                              LionCommError)
 from lioncomm.quant import SignPolicy, apply_sign
 from lioncomm.transport import InprocTransport, SocketTransport
+from test_frames import free_base_port
 
 
 def sum_oracle(vectors):
@@ -140,13 +142,21 @@ class TestPsGatherBroadcast:
     @pytest.mark.parametrize("efficient", [False, True])
     def test_integer_frames_use_the_lane(self, world, q_max, itemsize,
                                          efficient):
-        # The first two elements sum to the lane's worst case, +-world * q_max.
+        # The first two elements sum to the lane's worst case, +-world * q_max,
+        # in a lane summed in an ``itemsize``-byte dtype.  A frame of k
+        # ranks' values rides choose_lane_bits(k, q_max): k=1 for a rank's
+        # own vector, the subtree size up the tree, P for the broadcast.
         transport = SendCounter(world)
         vecs = [np.array([q_max, -q_max, 0, 1, -1]) for _ in range(world)]
         results = run_ranks(world, lambda topo: ps_gather_broadcast(
             vecs[topo.rank], topo, q_max=q_max, efficient=efficient).values,
             transport=transport)
-        assert transport.sizes == {5 * itemsize}
+        sum_lane = LANE_DTYPES[choose_lane_bits(world, q_max)]
+        assert np.dtype(sum_lane).itemsize == itemsize
+        ks = ({min(r & -r, world - r) for r in range(1, world)} if efficient
+              else {1}) | {world}
+        assert transport.sizes == {-(-5 * choose_lane_bits(k, q_max) // 8)
+                                   for k in ks}
         for values in results:
             assert values.dtype == np.int64
             assert np.array_equal(values, sum_oracle(vecs))
@@ -233,6 +243,69 @@ class TestDirectAllreduce:
 
         with pytest.raises(ConfigError):
             run_vote(2, fn)
+
+
+SUM_CALLS = {
+    "direct": lambda q, topo, q_max: direct_allreduce(q, topo, q_max=q_max),
+    "ps": lambda q, topo, q_max: ps_gather_broadcast(q, topo, q_max=q_max),
+    "ps_efficient": lambda q, topo, q_max: ps_gather_broadcast(
+        q, topo, q_max=q_max, efficient=True),
+}
+
+
+class TestSubByteLanes:
+    """Sign votes at P <= 7 sum in a 4-bit lane; own values ride 2 bits."""
+
+    @pytest.mark.parametrize("world", range(2, 8))
+    @pytest.mark.parametrize("algo", sorted(SUM_CALLS))
+    def test_sums_reach_the_lane_bounds(self, world, algo):
+        assert choose_lane_bits(world, 1) == 4
+        assert choose_lane_bits(1, 1) == 2
+        rng = np.random.default_rng(world)
+        # Elements 0 and 1 sum to +-P, the 4-bit lane's worst case; the
+        # rest are random ternary votes over lengths P does not divide.
+        vecs = [np.concatenate([[1, -1], rng.integers(-1, 2, size=11)])
+                .astype(np.int8) for _ in range(world)]
+        expect = sum_oracle(vecs)
+        assert expect[:2].tolist() == [world, -world]
+        transport = SendCounter(world)
+        results = run_ranks(world, lambda topo: SUM_CALLS[algo](
+            vecs[topo.rank], topo, 1).values, transport=transport)
+        for values in results:
+            assert np.array_equal(values, expect)
+        # Own values in 2-bit fields, every partial and total sum in 4.
+        count = -(-13 // world) if algo == "direct" else 13
+        assert transport.sizes == {-(-count * 2 // 8), -(-count * 4 // 8)}
+
+    @pytest.mark.parametrize("world", [2, 3, 5])
+    @pytest.mark.parametrize("algo", sorted(SUM_CALLS))
+    def test_values_to_7_ride_4_bits_and_sum_wider(self, world, algo):
+        # Own values up to 7 fill a 4-bit field; P * 7 needs 8 bits.
+        vecs = make_vectors(world, 29, seed=world, lo=-7, hi=7)
+        for v in vecs:
+            v[:2] = [7, -7]
+        transport = SendCounter(world)
+        results = run_ranks(world, lambda topo: SUM_CALLS[algo](
+            vecs[topo.rank], topo, 7).values, transport=transport)
+        for values in results:
+            assert np.array_equal(values, sum_oracle(vecs))
+        own = -(-29 // world) if algo == "direct" else 29
+        assert min(transport.sizes) == -(-own * 4 // 8)
+
+    @pytest.mark.parametrize("algo", sorted(SUM_CALLS))
+    def test_frame_one_byte_short_names_the_sender(self, algo):
+        class Short(InprocTransport):
+            def send(self, src, dst, generation, tag, payload):
+                if src == 1:
+                    payload = payload[:-1]
+                super().send(src, dst, generation, tag, payload)
+
+        # 9 signs: a 2-bit frame of 3 bytes (ps) or a 5-element chunk of 2.
+        signs = [np.ones(9, dtype=np.int8), -np.ones(9, dtype=np.int8)]
+        with pytest.raises(CollectiveError, match="length mismatch") as e:
+            run_ranks(2, lambda topo: SUM_CALLS[algo](signs[topo.rank], topo, 1),
+                      transport=Short(2), timeout=0.5)
+        assert (e.value.rank, e.value.generation) == (1, 1)
 
 
 class TestCompressed1Bit:
@@ -481,6 +554,25 @@ class TestSocketTransportParity:
             transport_factory=lambda r: SocketTransport(
                 world, r, host="127.0.0.1", base_port=port))
         assert all(np.array_equal(x, y) for x, y in zip(inproc, socketed))
+
+    @pytest.mark.parametrize("algo", sorted(SUM_CALLS))
+    def test_sign_votes_match_inproc_at_two_ranks(self, algo):
+        # At P=2, own signs ride 2-bit fields and their sums 4-bit ones.
+        rng = np.random.default_rng(8)
+        signs = [rng.choice([-1, 1], size=1001).astype(np.int8)
+                 for _ in range(2)]
+
+        def fn(topo):
+            return SUM_CALLS[algo](signs[topo.rank], topo, 1).values
+
+        port = free_base_port(world=2)
+        socketed = run_ranks(
+            2, fn, transport_factory=lambda r: SocketTransport(
+                2, r, host="127.0.0.1", base_port=port))
+        for values in socketed:
+            assert np.array_equal(values, sum_oracle(signs))
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(run_vote(2, fn), socketed))
 
 
 class TestMajoritySign:

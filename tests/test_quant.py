@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lioncomm.errors import ConfigError, PackFormatError, PackRangeError
-from lioncomm.quant import (INF, QuantSpec, SignPolicy, apply_sign, dequantize,
-                            lp_mean_norm, pack, quantize, sround, unpack)
+from lioncomm.quant import (INF, QuantSpec, SignPolicy, _log_map, _scale,
+                            apply_sign, dequantize, lp_mean_norm, pack,
+                            pack_ints, quantize, sround, unpack, unpack_ints)
 
 
 class TestLpMeanNorm:
@@ -117,6 +118,69 @@ class TestQuantize:
         with pytest.raises(ConfigError):
             quantize(np.ones(3), QuantSpec(bits=8, norm_p=INF,
                                            rounding="stochastic"))
+
+
+def _int64_quantize(x, spec, rng=None):
+    """The quantizer as it stood with int64 output: round (or sround),
+    then clamp to +-qmax.  An oracle for the narrow, clamp-first one."""
+    qmax = spec.qmax
+    y = x
+    if spec.log_transform:
+        s = lp_mean_norm(x, 1.0)
+        if s > 0:
+            y = _log_map(x, s)
+    m = lp_mean_norm(y, spec.norm_p)
+    if m == 0 or qmax == 0:
+        q = np.zeros(x.shape, dtype=np.int64)
+    else:
+        scaled = (qmax / _scale(spec, m)) * y
+        if spec.rounding == "stochastic":
+            lo = np.floor(scaled)
+            q = (lo + (rng.random(scaled.shape) < scaled - lo)).astype(np.int64)
+        else:
+            q = np.round(scaled).astype(np.int64)
+        q = np.clip(q, -qmax, qmax)
+    if spec.no_zero:
+        q = np.where((q == 0) & (x != 0), np.sign(x).astype(np.int64), q)
+    return q
+
+
+class TestNarrowQuantize:
+    """``quantize`` clamps before rounding and returns a narrow dtype."""
+
+    @pytest.mark.parametrize("bits,dtype", [
+        (1, np.int8), (2, np.int8), (8, np.int8), (9, np.int16),
+        (16, np.int16), (17, np.int32), (32, np.int32)])
+    def test_narrowest_dtype_that_holds_qmax(self, bits, dtype):
+        x = np.array([3.0, -1.0, 0.5, 0.0])
+        assert quantize(x, QuantSpec(bits=bits, norm_p=1)).dtype == dtype
+        assert quantize(np.zeros(3), QuantSpec(bits=bits)).dtype == dtype
+
+    @pytest.mark.parametrize("rounding", ["nearest", "stochastic"])
+    def test_scaled_value_above_qmax_is_clamped_not_wrapped(self, rounding):
+        # The outlier scales to 127 * 1000 / (2 * 250.75), about 253: cast
+        # to int8 before the clamp it would wrap to -3.
+        x = np.array([1000.0, 1.0, -1.0, 1.0, -1000.0])
+        spec = QuantSpec(bits=8, norm_p=1, rounding=rounding)
+        q = quantize(x, spec, rng=np.random.default_rng(0))
+        assert q.dtype == np.int8
+        assert (q[0], q[-1]) == (127, -127)
+
+    @pytest.mark.parametrize("spec", [
+        QuantSpec(bits=8, norm_p=1),
+        QuantSpec(bits=4, norm_p=2, no_zero=True),
+        QuantSpec(bits=8, norm_p=INF, rounding="stochastic"),
+        QuantSpec(bits=3, norm_p=1, rounding="stochastic"),
+        QuantSpec(bits=8, norm_p=0, log_transform=True),
+        QuantSpec(bits=12, norm_p=1, rounding="stochastic", no_zero=True),
+    ], ids=str)
+    def test_same_integers_and_draws_as_int64_oracle(self, spec):
+        for seed in range(20):
+            x = np.random.default_rng(seed).standard_cauchy(size=301)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = quantize(x, spec, rng=a)
+            assert np.array_equal(got, _int64_quantize(x, spec, rng=b))
+            assert a.random() == b.random()  # the same number of draws
 
 
 class TestSround:
@@ -273,3 +337,76 @@ class TestPackUnpack:
         payload = pack(v)
         assert len(payload) == (v.size + 7) // 8
         assert np.array_equal(unpack(payload, v.size), v)
+
+
+def _column_pack_ints(values, bits):
+    """Per-column OR encoder of ``bits``-wide fields, a payload oracle."""
+    per = 8 // bits
+    fields = np.zeros(-(-len(values) // per) * per, dtype=np.uint8)
+    fields[:len(values)] = np.asarray(values, dtype=np.int64) & ((1 << bits) - 1)
+    columns = fields.reshape(-1, per)
+    out = np.zeros(columns.shape[0], dtype=np.uint8)
+    for j in range(per):
+        out |= columns[:, j] << (bits * j)
+    return out.tobytes()
+
+
+class TestPackInts:
+    """Signed 2- and 4-bit fields, element 0 in the low bits of byte 0."""
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_every_value_round_trips_at_counts_1_to_9(self, bits):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        span = hi - lo + 1
+        for count in range(1, 10):
+            for offset in range(span):  # every value at every position
+                v = np.array([lo + (i + offset) % span for i in range(count)],
+                             dtype=np.int8)
+                payload = pack_ints(v, bits)
+                assert len(payload) == -(-count * bits // 8)
+                back = unpack_ints(payload, count, bits)
+                assert back.dtype == np.int8
+                assert np.array_equal(back, v), (bits, count, offset)
+
+    def test_field_layout(self):
+        # 2 bits: 1, -1, 0, -2 are 01, 11, 00, 10 from the low end up.
+        assert pack_ints(np.array([1, -1, 0, -2]), 2) == b"\x8d"
+        # 4 bits: 7 and -8 share byte 0; -1 fills byte 1's low nibble and
+        # the padding nibble stays clear.
+        assert pack_ints(np.array([7, -8, -1]), 4) == b"\x87\x0f"
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_payload_matches_column_encoder(self, bits):
+        rng = np.random.default_rng(bits)
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        for n in range(1, 201):
+            v = rng.integers(lo, hi + 1, size=n)
+            assert pack_ints(v, bits) == _column_pack_ints(v, bits), n
+            assert pack_ints(v.astype(np.int8), bits) == pack_ints(v, bits)
+
+    @pytest.mark.parametrize("bits,values,index", [
+        (2, [1, -2, 2], 2), (2, [-3], 0), (4, [7, 8], 1), (4, [0, -9, 9], 1)])
+    def test_out_of_range_reports_index(self, bits, values, index):
+        with pytest.raises(PackRangeError) as e:
+            pack_ints(np.array(values), bits)
+        assert e.value.index == index and e.value.value == values[index]
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_wrong_length_is_rejected(self, bits):
+        payload = pack_ints(np.zeros(9, dtype=np.int8), bits)
+        for bad in (payload[:-1], payload + b"\x00"):
+            with pytest.raises(PackFormatError):
+                unpack_ints(bad, 9, bits)
+
+    @pytest.mark.parametrize("bits", [1, 3, 8])
+    def test_only_2_and_4_bit_fields(self, bits):
+        with pytest.raises(ConfigError):
+            pack_ints(np.zeros(4, dtype=np.int8), bits)
+        with pytest.raises(ConfigError):
+            unpack_ints(b"\x00", 1, bits)
+
+    @given(st.binary(min_size=1, max_size=200), st.sampled_from([2, 4]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_byte_pattern_is_a_payload(self, payload, bits):
+        count = 8 * len(payload) // bits
+        assert pack_ints(unpack_ints(payload, count, bits), bits) == payload

@@ -13,14 +13,21 @@ the same messages and bytes per rank.  The ``ps`` and ``ps_efficient``
 bytes are an eighth of those first recorded: their integer frames moved
 from int64 words to the lane ``choose_lane_bits`` picks, int8 for values
 up to 7 at these P, with the same messages.
+
+The integer votes (``ps``, ``ps_efficient``, ``direct``, ``direct_signs``)
+keep their recorded message counts, but their bytes are no longer
+literals: each frame now rides the narrowest lane for the sum it carries,
+down to 2- and 4-bit fields, and ``lane_bytes`` gives the bytes each rank
+sends under that rule.
 """
 
 import numpy as np
 import pytest
 
 from lioncomm.collectives import (allgather_f64, allreduce_mean_f32,
-                                  compressed_allreduce_1bit, direct_allreduce,
-                                  ps_gather_broadcast, run_ranks)
+                                  choose_lane_bits, compressed_allreduce_1bit,
+                                  direct_allreduce, ps_gather_broadcast,
+                                  run_ranks)
 from lioncomm.quant import SignPolicy, apply_sign
 from lioncomm.transport import InprocTransport
 
@@ -46,42 +53,6 @@ CALLS = {
 # (collective, P, N): (messages sent by each rank, payload bytes sent by
 # each rank), framing excluded.
 TRAFFIC = {
-    ('ps', 2, 1): ([1, 1], [1, 1]),
-    ('ps', 2, 7): ([1, 1], [7, 7]),
-    ('ps', 2, 1000): ([1, 1], [1000, 1000]),
-    ('ps', 3, 1): ([2, 1, 1], [2, 1, 1]),
-    ('ps', 3, 7): ([2, 1, 1], [14, 7, 7]),
-    ('ps', 3, 1000): ([2, 1, 1], [2000, 1000, 1000]),
-    ('ps', 4, 1): ([3, 1, 1, 1], [3, 1, 1, 1]),
-    ('ps', 4, 7): ([3, 1, 1, 1], [21, 7, 7, 7]),
-    ('ps', 4, 1000): ([3, 1, 1, 1], [3000, 1000, 1000, 1000]),
-    ('ps_efficient', 2, 1): ([1, 1], [1, 1]),
-    ('ps_efficient', 2, 7): ([1, 1], [7, 7]),
-    ('ps_efficient', 2, 1000): ([1, 1], [1000, 1000]),
-    ('ps_efficient', 3, 1): ([2, 1, 1], [2, 1, 1]),
-    ('ps_efficient', 3, 7): ([2, 1, 1], [14, 7, 7]),
-    ('ps_efficient', 3, 1000): ([2, 1, 1], [2000, 1000, 1000]),
-    ('ps_efficient', 4, 1): ([2, 1, 2, 1], [2, 1, 2, 1]),
-    ('ps_efficient', 4, 7): ([2, 1, 2, 1], [14, 7, 14, 7]),
-    ('ps_efficient', 4, 1000): ([2, 1, 2, 1], [2000, 1000, 2000, 1000]),
-    ('direct', 2, 1): ([2, 2], [2, 2]),
-    ('direct', 2, 7): ([2, 2], [8, 8]),
-    ('direct', 2, 1000): ([2, 2], [1000, 1000]),
-    ('direct', 3, 1): ([4, 4, 4], [4, 4, 4]),
-    ('direct', 3, 7): ([4, 4, 4], [12, 12, 12]),
-    ('direct', 3, 1000): ([4, 4, 4], [1336, 1336, 1336]),
-    ('direct', 4, 1): ([6, 6, 6, 6], [6, 6, 6, 6]),
-    ('direct', 4, 7): ([6, 6, 6, 6], [12, 12, 12, 12]),
-    ('direct', 4, 1000): ([6, 6, 6, 6], [1500, 1500, 1500, 1500]),
-    ('direct_signs', 2, 1): ([2, 2], [2, 2]),
-    ('direct_signs', 2, 7): ([2, 2], [8, 8]),
-    ('direct_signs', 2, 1000): ([2, 2], [1000, 1000]),
-    ('direct_signs', 3, 1): ([4, 4, 4], [4, 4, 4]),
-    ('direct_signs', 3, 7): ([4, 4, 4], [12, 12, 12]),
-    ('direct_signs', 3, 1000): ([4, 4, 4], [1336, 1336, 1336]),
-    ('direct_signs', 4, 1): ([6, 6, 6, 6], [6, 6, 6, 6]),
-    ('direct_signs', 4, 7): ([6, 6, 6, 6], [12, 12, 12, 12]),
-    ('direct_signs', 4, 1000): ([6, 6, 6, 6], [1500, 1500, 1500, 1500]),
     ('compressed1bit', 2, 1): ([2, 2], [6, 6]),
     ('compressed1bit', 2, 7): ([2, 2], [6, 6]),
     ('compressed1bit', 2, 1000): ([2, 2], [130, 130]),
@@ -110,22 +81,6 @@ TRAFFIC = {
     ('allgather_f64', 4, 7): ([3, 3, 3, 3], [168, 168, 168, 168]),
     ('allgather_f64', 4, 1000): ([3, 3, 3, 3], [24000, 24000, 24000, 24000]),
     # P=8, including N=4099, which P does not divide.
-    ('ps', 8, 1): ([7, 1, 1, 1, 1, 1, 1, 1], [7, 1, 1, 1, 1, 1, 1, 1]),
-    ('ps', 8, 7): ([7, 1, 1, 1, 1, 1, 1, 1], [49, 7, 7, 7, 7, 7, 7, 7]),
-    ('ps', 8, 1000): ([7, 1, 1, 1, 1, 1, 1, 1], [7000, 1000, 1000, 1000, 1000, 1000, 1000, 1000]),
-    ('ps', 8, 4099): ([7, 1, 1, 1, 1, 1, 1, 1], [28693, 4099, 4099, 4099, 4099, 4099, 4099, 4099]),
-    ('ps_efficient', 8, 1): ([3, 1, 2, 1, 3, 1, 2, 1], [3, 1, 2, 1, 3, 1, 2, 1]),
-    ('ps_efficient', 8, 7): ([3, 1, 2, 1, 3, 1, 2, 1], [21, 7, 14, 7, 21, 7, 14, 7]),
-    ('ps_efficient', 8, 1000): ([3, 1, 2, 1, 3, 1, 2, 1], [3000, 1000, 2000, 1000, 3000, 1000, 2000, 1000]),
-    ('ps_efficient', 8, 4099): ([3, 1, 2, 1, 3, 1, 2, 1], [12297, 4099, 8198, 4099, 12297, 4099, 8198, 4099]),
-    ('direct', 8, 1): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
-    ('direct', 8, 7): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
-    ('direct', 8, 1000): ([14, 14, 14, 14, 14, 14, 14, 14], [1750, 1750, 1750, 1750, 1750, 1750, 1750, 1750]),
-    ('direct', 8, 4099): ([14, 14, 14, 14, 14, 14, 14, 14], [7182, 7182, 7182, 7182, 7182, 7182, 7182, 7182]),
-    ('direct_signs', 8, 1): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
-    ('direct_signs', 8, 7): ([14, 14, 14, 14, 14, 14, 14, 14], [14, 14, 14, 14, 14, 14, 14, 14]),
-    ('direct_signs', 8, 1000): ([14, 14, 14, 14, 14, 14, 14, 14], [1750, 1750, 1750, 1750, 1750, 1750, 1750, 1750]),
-    ('direct_signs', 8, 4099): ([14, 14, 14, 14, 14, 14, 14, 14], [7182, 7182, 7182, 7182, 7182, 7182, 7182, 7182]),
     ('compressed1bit', 8, 1): ([14, 14, 14, 14, 14, 14, 14, 14], [42, 42, 42, 42, 42, 42, 42, 42]),
     ('compressed1bit', 8, 7): ([14, 14, 14, 14, 14, 14, 14, 14], [42, 42, 42, 42, 42, 42, 42, 42]),
     ('compressed1bit', 8, 1000): ([14, 14, 14, 14, 14, 14, 14, 14], [252, 252, 252, 252, 252, 252, 252, 252]),
@@ -139,6 +94,91 @@ TRAFFIC = {
     ('allgather_f64', 8, 1000): ([7, 7, 7, 7, 7, 7, 7, 7], [56000, 56000, 56000, 56000, 56000, 56000, 56000, 56000]),
     ('allgather_f64', 8, 4099): ([7, 7, 7, 7, 7, 7, 7, 7], [229544, 229544, 229544, 229544, 229544, 229544, 229544, 229544]),
 }
+
+
+# Integer votes, (collective, P, N): messages sent by each rank.
+LANE_MSGS = {
+    ('ps', 2, 1): [1, 1],
+    ('ps', 2, 7): [1, 1],
+    ('ps', 2, 1000): [1, 1],
+    ('ps', 3, 1): [2, 1, 1],
+    ('ps', 3, 7): [2, 1, 1],
+    ('ps', 3, 1000): [2, 1, 1],
+    ('ps', 4, 1): [3, 1, 1, 1],
+    ('ps', 4, 7): [3, 1, 1, 1],
+    ('ps', 4, 1000): [3, 1, 1, 1],
+    ('ps_efficient', 2, 1): [1, 1],
+    ('ps_efficient', 2, 7): [1, 1],
+    ('ps_efficient', 2, 1000): [1, 1],
+    ('ps_efficient', 3, 1): [2, 1, 1],
+    ('ps_efficient', 3, 7): [2, 1, 1],
+    ('ps_efficient', 3, 1000): [2, 1, 1],
+    ('ps_efficient', 4, 1): [2, 1, 2, 1],
+    ('ps_efficient', 4, 7): [2, 1, 2, 1],
+    ('ps_efficient', 4, 1000): [2, 1, 2, 1],
+    ('direct', 2, 1): [2, 2],
+    ('direct', 2, 7): [2, 2],
+    ('direct', 2, 1000): [2, 2],
+    ('direct', 3, 1): [4, 4, 4],
+    ('direct', 3, 7): [4, 4, 4],
+    ('direct', 3, 1000): [4, 4, 4],
+    ('direct', 4, 1): [6, 6, 6, 6],
+    ('direct', 4, 7): [6, 6, 6, 6],
+    ('direct', 4, 1000): [6, 6, 6, 6],
+    ('direct_signs', 2, 1): [2, 2],
+    ('direct_signs', 2, 7): [2, 2],
+    ('direct_signs', 2, 1000): [2, 2],
+    ('direct_signs', 3, 1): [4, 4, 4],
+    ('direct_signs', 3, 7): [4, 4, 4],
+    ('direct_signs', 3, 1000): [4, 4, 4],
+    ('direct_signs', 4, 1): [6, 6, 6, 6],
+    ('direct_signs', 4, 7): [6, 6, 6, 6],
+    ('direct_signs', 4, 1000): [6, 6, 6, 6],
+    ('ps', 8, 1): [7, 1, 1, 1, 1, 1, 1, 1],
+    ('ps', 8, 7): [7, 1, 1, 1, 1, 1, 1, 1],
+    ('ps', 8, 1000): [7, 1, 1, 1, 1, 1, 1, 1],
+    ('ps', 8, 4099): [7, 1, 1, 1, 1, 1, 1, 1],
+    ('ps_efficient', 8, 1): [3, 1, 2, 1, 3, 1, 2, 1],
+    ('ps_efficient', 8, 7): [3, 1, 2, 1, 3, 1, 2, 1],
+    ('ps_efficient', 8, 1000): [3, 1, 2, 1, 3, 1, 2, 1],
+    ('ps_efficient', 8, 4099): [3, 1, 2, 1, 3, 1, 2, 1],
+    ('direct', 8, 1): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('direct', 8, 7): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('direct', 8, 1000): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('direct', 8, 4099): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('direct_signs', 8, 1): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('direct_signs', 8, 7): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('direct_signs', 8, 1000): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('direct_signs', 8, 4099): [14, 14, 14, 14, 14, 14, 14, 14],
+}
+
+
+def lane_bytes(name, world, n, msgs):
+    """Payload bytes each rank sends in an integer vote.  A frame of
+    ``count`` values that carries the sum of k ranks' values is
+    ceil(count * b_k / 8) bytes, b_k = choose_lane_bits(k, q_max)."""
+    q_max = 1 if name == "direct_signs" else 7
+
+    def frame(k, count):
+        return -(-count * choose_lane_bits(k, q_max) // 8)
+
+    if name in ("direct", "direct_signs"):
+        # P-1 reduce-scatter chunks of own values, P-1 summed chunks.
+        c = -(-n // world)
+        return [(world - 1) * (frame(1, c) + frame(world, c))] * world
+    if name == "ps":
+        # Every other rank sends its own vector; the root sends the sum.
+        return [(world - 1) * frame(world, n)] + [frame(1, n)] * (world - 1)
+    # ps_efficient: a rank r > 0 sends the sum of its subtree, min(lowest
+    # set bit of r, P - r) ranks, up once; every other message it sends is
+    # the total, down the broadcast tree.
+    return [m * frame(world, n) if r == 0 else
+            frame(min(r & -r, world - r), n) + (m - 1) * frame(world, n)
+            for r, m in enumerate(msgs)]
+
+
+TRAFFIC.update({key: (msgs, lane_bytes(*key, msgs))
+                for key, msgs in LANE_MSGS.items()})
 
 
 class CountingTransport(InprocTransport):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lioncomm import collectives
-from lioncomm.collectives import run_ranks
+from lioncomm.collectives import LANE_DTYPES, choose_lane_bits, run_ranks
 from lioncomm.errors import ConfigError
 from lioncomm.optimizer import (VOTE_ALGOS, LionHyper, WorkerState,
                                 distributed_lion_step)
@@ -85,8 +85,8 @@ class FrameSizes(InprocTransport):
 
 @pytest.mark.parametrize("algo", ["ps", "ps_efficient"])
 @pytest.mark.parametrize("spec,word", [
-    (QuantSpec(bits=8), 2),  # 4 x 127 needs a 16-bit lane
-    (QuantSpec(bits=1), 1),  # 4 x 1 fits an 8-bit lane
+    (QuantSpec(bits=8), 2),  # 4 x 127 is summed in a 16-bit lane
+    (QuantSpec(bits=1), 1),  # 4 x 1 is summed in int8 (a 4-bit lane)
     (None, 8),               # full precision: float64 words
 ])
 def test_ps_words_are_sized_by_the_quantizer_range(algo, spec, word):
@@ -94,4 +94,13 @@ def test_ps_words_are_sized_by_the_quantizer_range(algo, spec, word):
     run_ranks(4, lambda topo: distributed_lion_step(START, GRAD, H, spec,
                                                     topo, algo),
               transport=transport)
-    assert transport.sizes == {8 * word}  # 8 parameters in one bucket
+    if spec is None:
+        assert transport.sizes == {8 * word}  # 8 parameters in one bucket
+        return
+    # A frame of k ranks' values rides choose_lane_bits(k, q_max): own
+    # vectors (k=1), the tree's two-rank partial sum, and the total (k=4).
+    q_max = 1 if spec.bits == 1 else spec.qmax
+    assert np.dtype(LANE_DTYPES[choose_lane_bits(4, q_max)]).itemsize == word
+    ks = {1, 2, 4} if algo == "ps_efficient" else {1, 4}
+    assert transport.sizes == {-(-8 * choose_lane_bits(k, q_max) // 8)
+                               for k in ks}

@@ -1,20 +1,23 @@
 """Per-collective A/B timing of two source trees of lioncomm.
 
     python tools/ab_collectives.py --parent OLD/src --change NEW/src \
-        [--n 577 1000003] [--pairs 10]
+        [--n 577 1000003] [--pairs 10] [--world 4] [--bits 8]
 
 Each pair runs both sides, one after the other, in alternating order
 (parent first on even pairs, change first on odd ones).  Each side is a
 fresh interpreter that pins itself to one core with
 ``os.sched_setaffinity``, imports lioncomm from its source tree, and
-times the six collectives in-process at P=4 (threads on one
+times the six collectives in-process at P=``--world`` (threads on one
 ``InprocTransport``): the four votes ``ps``, ``ps_efficient``, ``direct``
 and ``compressed1bit``, called through ``optimizer.VOTE_ALGOS`` with
-``QuantSpec(bits=8)`` (8-bit integers in [-127, 127]; real vectors for
-the 1-bit vote), so both sides are called the same way whatever their
-collectives' signatures; then ``allreduce_mean_f32`` and
-``allgather_f64``.  A side's figure for a collective and N is the median
-of rank 0's per-call wall time over its repetitions.
+``QuantSpec(bits=--bits)`` (integers in [-qmax, qmax], signs for
+``--bits 1``; real vectors for the 1-bit vote), so both sides are called
+the same way whatever their collectives' signatures; then
+``allreduce_mean_f32`` and ``allgather_f64``.  A side's figure for a
+collective and N is the median of rank 0's per-call wall time over its
+repetitions.  The defaults, P=4 and 8-bit values, run the 8- and 16-bit
+lanes; ``--world 2 --bits 1`` is the shape of the benchmark's ``wire``
+workload, whose sign votes ride the 2- and 4-bit lanes.
 
 The table gives, per collective and N, the median over pairs of each
 side's figure in microseconds, the parent's quartiles over pairs, the
@@ -33,7 +36,6 @@ import time
 
 import numpy as np
 
-WORLD = 4
 COLLECTIVES = ("ps", "ps_efficient", "direct", "compressed1bit",
                "allreduce_mean_f32", "allgather_f64")
 
@@ -43,7 +45,7 @@ def reps_for(n: int) -> int:
     return max(25, min(400, 4_000_000 // n))
 
 
-def worker(src: str, sizes: list[int]) -> dict:
+def worker(src: str, sizes: list[int], world: int, bits: int) -> dict:
     """Time every collective at every size in this interpreter."""
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -58,7 +60,8 @@ def worker(src: str, sizes: list[int]) -> dict:
         raise SystemExit(f"lioncomm imported from {lioncomm.__file__}, "
                          f"not from {src}")
     policy = SignPolicy("alternating", iteration=1)
-    spec = QuantSpec(bits=8)
+    spec = QuantSpec(bits=bits)
+    q_max = 1 if bits == 1 else spec.qmax
 
     def vote(name, real):
         return lambda x, q, topo: VOTE_ALGOS[name](x if real else q, topo,
@@ -72,9 +75,10 @@ def worker(src: str, sizes: list[int]) -> dict:
     out = {}
     for n in sizes:
         rng = np.random.default_rng(n)
-        xs = [rng.normal(size=n) for _ in range(WORLD)]
-        qs = [rng.integers(-127, 128, size=n).astype(np.int8)
-              for _ in range(WORLD)]
+        xs = [rng.normal(size=n) for _ in range(world)]
+        qs = [rng.integers(-q_max, q_max + 1, size=n)
+              .astype(np.int8 if bits <= 8 else np.int16)
+              for _ in range(world)]
         reps = reps_for(n)
         for name in COLLECTIVES:
             call = calls[name]
@@ -88,14 +92,15 @@ def worker(src: str, sizes: list[int]) -> dict:
                     if topo.rank == 0:
                         times.append(time.perf_counter() - t0)
 
-            coll.run_ranks(WORLD, rank, transport=InprocTransport(WORLD))
+            coll.run_ranks(world, rank, transport=InprocTransport(world))
             out[f"{name}/{n}"] = float(np.median(times)) * 1e6
     return out
 
 
-def run_side(src: str, sizes: list[int]) -> dict:
+def run_side(src: str, sizes: list[int], world: int, bits: int) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", src,
-           "--n", *map(str, sizes)]
+           "--n", *map(str, sizes), "--world", str(world),
+           "--bits", str(bits)]
     done = subprocess.run(cmd, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -113,10 +118,19 @@ def main(argv=None) -> int:
                     help="vector lengths (default: 577 1000003)")
     ap.add_argument("--pairs", type=int, default=10,
                     help="alternating parent/change pairs (default: 10)")
+    ap.add_argument("--world", type=int, default=4,
+                    help="ranks P (default: 4)")
+    ap.add_argument("--bits", type=int, default=8,
+                    help="QuantSpec bits of the integer votes' values; 1 "
+                         "votes signs (default: 8)")
     ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if not 1 <= args.world <= 64:
+        ap.error("--world must be in 1..64")
+    if not 1 <= args.bits <= 16:
+        ap.error("--bits must be in 1..16")
     if args.worker:
-        print(json.dumps(worker(args.worker, args.n)))
+        print(json.dumps(worker(args.worker, args.n, args.world, args.bits)))
         return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
@@ -127,10 +141,11 @@ def main(argv=None) -> int:
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_side(getattr(args, side), args.n))
+            runs[side].append(run_side(getattr(args, side), args.n,
+                                       args.world, args.bits))
 
-    print(f"P={WORLD}, in-process, one core per side, {args.pairs} pairs; "
-          f"{os.cpu_count()} cores on this host")
+    print(f"P={args.world}, {args.bits}-bit values, in-process, one core per "
+          f"side, {args.pairs} pairs; {os.cpu_count()} cores on this host")
     print(f"{'collective':<20}{'N':>9}{'parent_us':>12}{'parent_q1-q3':>20}"
           f"{'change_us':>12}{'ratio':>8}{'wins':>8}")
     for n in args.n:

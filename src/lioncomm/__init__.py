@@ -10,13 +10,10 @@ from .errors import (CapacityError, CollectiveError, ConfigError,
                      LionCommError, PackFormatError, PackRangeError)
 from .optimizer import (LionHyper, SyncPolicy, WorkerState,
                         distributed_lion_step, lion_step,
-                        maybe_sync_momentum, momentum_divergence,
-                        signsgd_majority_step)
-from .quant import (QuantSpec, SignPolicy, apply_sign, INF, dequantize,
-                    lp_mean_norm, pack, quantize, sround, unpack)
+                        maybe_sync_momentum, momentum_divergence)
+from .quant import (QuantSpec, SignPolicy, apply_sign, INF, lp_mean_norm,
+                    pack, quantize, sround, unpack)
 from .transport import InprocTransport, SocketTransport
 from .workloads import (MlpModel, NoiseSpec, init_mlp, noisy_client_grads,
                         sample_alpha_stable, synth_update_vectors,
                         teacher_student_batch)
-
-__version__ = "0.1.0"

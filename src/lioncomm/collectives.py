@@ -2,26 +2,28 @@
 
 Four ways to obtain the aggregated update at every rank:
 
-* ``ps_gather_broadcast`` -- parameter-server style: gather at rank 0,
-  sum, broadcast (flat sends or binomial trees).
+* ``ps_gather_broadcast`` -- parameter-server style: sum up a tree rooted
+  at rank 0, then broadcast down it (flat, or binomial when efficient).
 * ``direct_allreduce`` -- a pairwise reduce-scatter + allgather; the
   exact sum comes back.
 * ``compressed_allreduce_1bit`` -- signs only (``alternating`` policy):
   the same two phases on 1-bit chunks, with a local majority per chunk.
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
-  momentum synchronization, not votes).
+  momentum synchronization, not votes): a flat sum, a binomial broadcast.
 
 Both integer votes, ``ps`` and ``direct``, sum integers in [-q_max, q_max]
 in the narrowest signed lane whose maximum holds P*q_max
-(``choose_lane_bits``), so no partial sum can overflow.  Each frame rides
-the narrowest lane for the sum it carries: ``choose_lane_bits(k, q_max)``
-for the sum of k ranks' values (k=1 for a rank's own values, the subtree
-size for a tree's partial sum, P for a total), down to 2- and 4-bit
-``quant.pack_ints`` fields; ``ps`` sends a full-precision (float) vote as
-float64 words.  Every frame is bare: little-endian lane or float words,
-packed fields, or ``quant.pack`` sign bits (the 1-bit stage-2 frame puts a
-4-byte tie count in front).  Every all-to-all and allgather phase is one
-loop, ``_exchange``, and input checks run before the first send.
+(``choose_lane_bits``), so no partial sum can overflow, and return the sum
+in that lane's dtype.  Each frame rides the narrowest lane for the sum it
+carries: ``choose_lane_bits(k, q_max)`` for the sum of k ranks' values
+(k=1 for a rank's own values, the subtree size for a tree's partial sum, P
+for a total), down to 2- and 4-bit ``quant.pack_ints`` fields; ``ps``
+sends and returns a full-precision (float) vote as float64 words.  Every
+frame is bare: little-endian lane or float words, packed fields, or
+``quant.pack`` sign bits (the 1-bit stage-2 frame puts a 4-byte tie count
+in front).  Every rooted phase is one walk of one tree (``_tree``:
+``_reduce`` up, ``_broadcast`` down), every all-to-all and allgather phase
+is one loop, ``_exchange``, and input checks run before the first send.
 ``Topology.recv`` is the one lockstep check: a frame of the wrong
 generation, tag or byte length raises ``CollectiveError`` naming the
 sender, generation and phase, and a peer that never sends raises one after
@@ -135,64 +137,55 @@ def _exchange(topo: Topology, tag: int, gen: int, payloads, size: int,
     return values
 
 
-def _gather_sum(vec: np.ndarray, topo: Topology, gen: int, tag: int,
-                frame, dtype) -> np.ndarray | None:
-    """Flat sum at rank 0 of every rank's vector, each sent as one
-    ``frame`` = (encode, decode, size), accumulated in a fresh ``dtype``
-    array.  Returns the sum at rank 0, None elsewhere."""
-    encode, decode, size = frame
-    if topo.rank != 0:
-        topo.send(0, tag, encode(vec), gen)
-        return None
-    acc = vec.astype(dtype)
-    for src in range(1, topo.world_size):
-        acc += decode(topo.recv(src, tag, gen, size))
-    return acc
-
-
-def _tree_reduce_to_root(vec: np.ndarray, topo: Topology, gen: int, tag: int,
-                         frames, dtype) -> np.ndarray | None:
-    """Binomial-tree sum at rank 0, accumulated in a fresh ``dtype`` array.
-    The partial sum of a subtree of k ranks travels in the frame
-    ``frames(k)`` gives as (encode, decode, size).  Returns the sum at
-    rank 0, None elsewhere."""
-    p = topo.world_size
-    acc = vec.astype(dtype)
-    mask = 1
-    while mask < p:
-        if topo.rank & mask:
-            encode, _, _ = frames(min(mask, p - topo.rank))
-            topo.send(topo.rank - mask, tag, encode(acc), gen)
-            return None
-        partner = topo.rank + mask
-        if partner < p:
-            _, decode, size = frames(min(mask, p - partner))
-            acc += decode(topo.recv(partner, tag, gen, size))
+def _tree(rank: int, p: int, binomial: bool):
+    """(parent, [(child, subtree size), ...]) of ``rank`` in the tree rooted
+    at rank 0 that ``_reduce`` and ``_broadcast`` walk; rank 0's parent is
+    None.  Flat: every other rank is a leaf under rank 0.  Binomial: rank r
+    hangs off r with its lowest set bit cleared, so its children are the
+    ranks r + 2^i below P for every 2^i below that bit (any 2^i for rank 0),
+    in increasing order, and r + 2^i heads min(2^i, P - r - 2^i) ranks."""
+    if not binomial:
+        return (None, [(c, 1) for c in range(1, p)]) if rank == 0 else (0, [])
+    kids, mask = [], 1
+    while rank + mask < p and (rank == 0 or mask < rank & -rank):
+        kids.append((rank + mask, min(mask, p - rank - mask)))
         mask <<= 1
-    return acc
+    return (rank & (rank - 1) if rank else None), kids
 
 
-def _tree_broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
-                    frame) -> np.ndarray:
-    """Binomial-tree broadcast from rank 0, which encodes ``vec`` once as
-    ``frame`` = (encode, decode, size); every other rank forwards the frame
-    it received."""
+def _reduce(vec: np.ndarray, topo: Topology, gen: int, tag: int, frames,
+            dtype, binomial: bool) -> np.ndarray | None:
+    """Sum at rank 0 of every rank's vector, up the ``_tree``: a rank adds
+    its children's partial sums, in child order, to a ``dtype`` copy of its
+    own vector and sends the result to its parent; a leaf sends ``vec``
+    uncopied.  The sum of a subtree of k ranks travels in the frame
+    ``frames(k)`` gives as (encode, decode, size).  Returns the sum, a
+    fresh array, at rank 0 and None elsewhere."""
+    parent, kids = _tree(topo.rank, topo.world_size, binomial)
+    acc = vec if parent is not None and not kids else vec.astype(dtype)
+    for child, k in kids:
+        _, decode, size = frames(k)
+        acc += decode(topo.recv(child, tag, gen, size))
+    if parent is None:
+        return acc
+    encode, _, _ = frames(1 + sum(k for _, k in kids))
+    topo.send(parent, tag, encode(acc), gen)
+    return None
+
+
+def _broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
+               frame, binomial: bool) -> np.ndarray:
+    """``vec`` from rank 0 to every rank, down the ``_tree``: rank 0 encodes
+    it once as ``frame`` = (encode, decode, size), and every other rank
+    forwards the frame it received.  Children are sent to in reverse
+    order: a binomial tree's largest subtree first."""
     encode, decode, size = frame
-    p = topo.world_size
-    mask = 1
-    while mask < p:
-        mask <<= 1
-    mask >>= 1
-    frame = None if vec is None else encode(vec)
-    while mask > 0:
-        if topo.rank % (mask << 1) == 0:
-            peer = topo.rank + mask
-            if peer < p:
-                topo.send(peer, tag, frame, gen)
-        elif topo.rank % (mask << 1) == mask:
-            frame = topo.recv(topo.rank - mask, tag, gen, size)
-        mask >>= 1
-    return vec if topo.rank == 0 else decode(frame)
+    parent, kids = _tree(topo.rank, topo.world_size, binomial)
+    payload = (encode(vec) if parent is None
+               else topo.recv(parent, tag, gen, size))
+    for child, _ in reversed(kids):
+        topo.send(child, tag, payload, gen)
+    return vec if parent is None else decode(payload)
 
 
 def choose_lane_bits(workers: int, q_max: int) -> int:
@@ -241,24 +234,24 @@ def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
                         efficient: bool = False) -> VoteResult:
     """Sum all workers' vectors at rank 0 and hand the sum back to everyone.
 
-    ``efficient`` switches flat sends for binomial trees; results are
+    ``efficient`` switches the flat tree for a binomial one; results are
     identical either way.  Integers in [-q_max, q_max] are summed in the
     lane ``choose_lane_bits(P, q_max)`` picks, as in ``direct_allreduce``,
-    and come back as int64; a frame that carries the sum of k ranks'
-    values travels in ``choose_lane_bits(k, q_max)``: k=1 for a rank's own
-    vector (flat gather, tree leaves), the subtree size for a tree's
-    partial sums, P for the broadcast.  A float vector is sent as float64
-    words and needs ``q_max=None``.  An integer vector with no ``q_max``, a
-    float one with one, or a value out of range raises before any send.
-    Every rank must pass the same kind of vector: one that differs fails
-    the tag check.
+    and come back in that lane's dtype; a frame that carries the sum of k
+    ranks' values travels in ``choose_lane_bits(k, q_max)``: k=1 for a
+    rank's own vector (flat gather, tree leaves), the subtree size for a
+    tree's partial sums, P for the broadcast.  A float vector is sent and
+    summed as float64 words and needs ``q_max=None``.  An integer vector
+    with no ``q_max``, a float one with one, or a value out of range raises
+    before any send.  Every rank must pass the same kind of vector: one
+    that differs fails the tag check.
     """
     vec = np.asarray(c_i).ravel()  # cast only by the sum's or codec's copy
     p = topo.world_size
     if vec.dtype.kind == "f":
         if q_max is not None:
             raise ConfigError(f"a float vote takes no q_max, got {q_max}")
-        words = (*_codec(np.float64), vec.nbytes)
+        words = (*_codec(np.float64), 8 * vec.size)
         dtype, extra = np.float64, TAG_FLOAT_WORDS
         frames = lambda k: words
     else:
@@ -266,28 +259,12 @@ def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
             raise ConfigError(f"a {vec.dtype} vote needs q_max")
         dtype, extra = LANE_DTYPES[_lane(vec, p, q_max)], 0
         frames = lambda k: _lane_frames(choose_lane_bits(k, q_max), vec.size)
-    bcast_tag, bcast = TAG_BCAST + extra, frames(p)
     gen = topo.next_generation()
-
-    if efficient:
-        total = _tree_reduce_to_root(vec, topo, gen, TAG_REDUCE + extra,
-                                     frames, dtype)
-        total = _tree_broadcast(total, topo, gen, bcast_tag, bcast)
-    else:
-        total = _gather_sum(vec, topo, gen, TAG_GATHER + extra, frames(1),
-                            dtype)
-        encode, decode, size = bcast
-        if topo.rank == 0:
-            payload = encode(total)
-            for dst in range(1, p):
-                topo.send(dst, bcast_tag, payload, gen)
-        else:
-            total = decode(topo.recv(0, bcast_tag, gen, size))
-
-    ties = int(np.count_nonzero(total == 0))  # in the lane, before widening
-    if not extra:
-        total = total.astype(np.int64)
-    return VoteResult(values=total, ties=ties)
+    total = _reduce(vec, topo, gen, (TAG_REDUCE if efficient else TAG_GATHER)
+                    + extra, frames, dtype, efficient)
+    total = _broadcast(total, topo, gen, TAG_BCAST + extra, frames(p),
+                       efficient)
+    return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
 
 
 def direct_allreduce(q_i, topo: Topology, q_max: int,
@@ -296,11 +273,11 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
     rank j sums chunk j of every rank, and allgathers the summed chunk.
 
     Integers in [-q_max, q_max] are summed in the signed lane
-    ``lane_bits``, by default the one ``choose_lane_bits(P, q_max)`` picks;
-    the dtype, range and capacity checks run in the input's own dtype,
-    before any communication.  A reduce-scatter chunk carries one rank's
-    own values and travels in ``choose_lane_bits(1, q_max)``; a summed
-    chunk travels in the sum lane.  ``q_max`` must be the declared range of
+    ``lane_bits``, by default the one ``choose_lane_bits(P, q_max)`` picks,
+    and come back in its dtype; the dtype, range and capacity checks run in
+    the input's own dtype, before any communication.  A reduce-scatter
+    chunk carries one rank's own values and travels in
+    ``choose_lane_bits(1, q_max)``; a summed chunk travels in the sum lane.  ``q_max`` must be the declared range of
     the quantizer, identical at every rank.
     """
     p = topo.world_size
@@ -328,8 +305,7 @@ def direct_allreduce(q_i, topo: Topology, q_max: int,
     full = _exchange(topo, TAG_ALLGATHER, gen, [encode(reduced)] * p, size,
                      decode, reduced)
     summed = np.concatenate(full)[:n]
-    ties = int(np.count_nonzero(summed == 0))  # in the lane, before widening
-    return VoteResult(values=summed.astype(np.int64), ties=ties)
+    return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
 
 
 def compressed_allreduce_1bit(c_i, topo: Topology,
@@ -392,17 +368,18 @@ def majority_sign(agg, policy: SignPolicy) -> np.ndarray:
 def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
     """Elementwise mean across ranks, computed and transported in float32.
 
-    Rank 0 gathers every rank's float32 vector, averages in double
-    precision, and rounds once, so the result is within half an ulp of
+    Rank 0 sums every rank's float32 vector, in rank order and in double
+    precision, averages, and rounds once, so the result is within half an ulp of
     the exact mean of the float32 inputs; a binomial-tree broadcast then
     hands every rank the same bits.
     """
     vec = np.asarray(x, dtype=np.float32).ravel()
     frame = (*_codec(np.float32), vec.nbytes)
     gen = topo.next_generation()
-    acc = _gather_sum(vec, topo, gen, TAG_REDUCE, frame, np.float64)
+    acc = _reduce(vec, topo, gen, TAG_REDUCE, lambda k: frame, np.float64,
+                  binomial=False)
     mean = None if acc is None else (acc / topo.world_size).astype(np.float32)
-    return _tree_broadcast(mean, topo, gen, TAG_BCAST, frame)
+    return _broadcast(mean, topo, gen, TAG_BCAST, frame, binomial=True)
 
 
 def allgather_f64(x, topo: Topology) -> list[np.ndarray]:

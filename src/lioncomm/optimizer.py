@@ -1,4 +1,4 @@
-"""Lion, signSGD-with-majority-vote, and distributed Lion with quantization.
+"""Lion and distributed Lion with quantized majority votes.
 
 Parameters and momentum live in a ``ParamSet``: a plain dict mapping layer
 names to flat float64 vectors.  Each rank owns one ``WorkerState``;
@@ -243,24 +243,6 @@ def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
         metrics_out["vote_sign"] = dict(zip(names, signs))
         metrics_out["c_local"] = dict(zip(names, cs))
     return WorkerState(params=new_params, momentum=new_mom, iteration=t)
-
-
-def signsgd_majority_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
-                          topo: Topology, algo: str = "ps",
-                          zero_mode: str = "alternating") -> WorkerState:
-    """signSGD with majority vote: theta -= lr * sign(sum_i sign(g_i)).
-
-    All layers share one bucketed vote.  No momentum state is touched.
-    """
-    _check_shapes(state.params, grad_i)
-    t = state.iteration + 1
-    eta = h.lr_at(t)
-    policy = SignPolicy(mode=zero_mode, iteration=t)
-    names = sorted(state.params)
-    majority, _ = _vote([grad_i[n] for n in names], QuantSpec(bits=1), topo,
-                        algo, policy, None)
-    new_params = {n: state.params[n] - eta * s for n, s in zip(names, majority)}
-    return WorkerState(params=new_params, momentum=state.momentum, iteration=t)
 
 
 def maybe_sync_momentum(state: WorkerState, policy: SyncPolicy,

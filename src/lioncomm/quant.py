@@ -130,15 +130,6 @@ def _log_map(x: np.ndarray, s: float) -> np.ndarray:
     return np.sign(x) * np.log1p(np.abs(x) / s)
 
 
-def _log_unmap(y: np.ndarray, s: float) -> np.ndarray:
-    return np.sign(y) * s * np.expm1(np.abs(y))
-
-
-def _scale(spec: QuantSpec, norm: float) -> float:
-    """The magnitude that maps to qmax: M for p = inf, 2M for finite p."""
-    return norm if spec.norm_p == INF else 2.0 * norm
-
-
 def _int_dtype(qmax: int):
     """Narrowest signed integer dtype that holds [-qmax, qmax]."""
     for dtype in (np.int8, np.int16, np.int32):
@@ -164,7 +155,6 @@ def quantize(x: np.ndarray, spec: QuantSpec,
     dtype = _int_dtype(qmax)
 
     y = x
-    log_scale = None
     if spec.log_transform:
         log_scale = lp_mean_norm(x, 1.0)
         if log_scale > 0:
@@ -177,7 +167,8 @@ def quantize(x: np.ndarray, spec: QuantSpec,
         # Rounding is monotone and fixes integers, so clamping first gives
         # the integers clamping the rounded values would, already in range
         # for ``dtype``; sround draws one number per element either way.
-        scaled = (qmax / _scale(spec, m)) * y
+        # M maps to qmax for p = inf, 2M for finite p.
+        scaled = (qmax / (m if spec.norm_p == INF else 2.0 * m)) * y
         np.clip(scaled, -qmax, qmax, out=scaled)
         if spec.rounding == "stochastic":
             if rng is None:
@@ -190,25 +181,6 @@ def quantize(x: np.ndarray, spec: QuantSpec,
         fix = (q == 0) & (x != 0)
         q = np.where(fix, np.sign(x).astype(dtype), q)
     return q
-
-
-def dequantize(q: np.ndarray, spec: QuantSpec, norm: float,
-               log_scale: float | None = None) -> np.ndarray:
-    """Map quantized integers back to real values.
-
-    ``norm`` is the M_p used at quantize time (of the log-mapped vector
-    when log_transform is on, in which case ``log_scale`` is its M_1).
-    """
-    q = np.asarray(q, dtype=np.float64)
-    qmax = spec.qmax
-    if qmax == 0 or norm == 0:
-        return np.zeros_like(q)
-    y = q * (_scale(spec, norm) / qmax)
-    if spec.log_transform:
-        if log_scale is None:
-            raise ConfigError("dequantize of a log-transformed vector needs log_scale")
-        return _log_unmap(y, log_scale)
-    return y
 
 
 def apply_sign(x: np.ndarray, policy: SignPolicy) -> np.ndarray:

@@ -14,7 +14,7 @@ from lioncomm.collectives import (allgather_f64, allreduce_mean_f32,
                                   run_ranks)
 from lioncomm.optimizer import (LionHyper, SyncPolicy, WorkerState,
                                 distributed_lion_step, maybe_sync_momentum,
-                                momentum_divergence, signsgd_majority_step)
+                                momentum_divergence)
 from lioncomm.quant import INF, QuantSpec, SignPolicy, apply_sign, quantize
 from lioncomm.transport import InprocTransport
 
@@ -129,26 +129,6 @@ def test_bucketed_step_has_ties_to_compare():
         return info["ties"]
 
     assert all(t > 0 for t in run_ranks(4, fn))
-
-
-@pytest.mark.parametrize("algo", ALGOS)
-def test_signsgd_bucketed_matches_per_layer(algo):
-    world = 3
-    grads, start, _ = layered_inputs(world, seed=8)
-
-    def fn(topo):
-        fused = signsgd_majority_step(start, grads[0][topo.rank], H, topo, algo)
-        policy = SignPolicy(mode="alternating", iteration=1)
-        expect = {}
-        for name in sorted(start.params):
-            sign, _ = per_layer_vote(grads[0][topo.rank][name], QuantSpec(bits=1),
-                                     topo, algo, policy, None)
-            expect[name] = start.params[name] - H.lr_at(1) * sign
-        return fused, expect
-
-    for fused, expect in run_ranks(world, fn):
-        for name in SIZES:
-            assert np.array_equal(fused.params[name], expect[name])
 
 
 class CountingTransport(InprocTransport):

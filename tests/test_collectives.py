@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from lioncomm.collectives import (LANE_DTYPES, Topology, VoteResult,
+from lioncomm.collectives import (LANE_DTYPES, Topology, VoteResult, _tree,
                                   allgather_f64, allreduce_mean_f32,
                                   choose_lane_bits,
                                   compressed_allreduce_1bit, direct_allreduce,
@@ -54,6 +54,20 @@ class SendCounter(InprocTransport):
         super().send(src, dst, generation, tag, payload)
 
 
+@pytest.mark.parametrize("binomial", [False, True])
+@pytest.mark.parametrize("world", range(1, 18))
+def test_tree_reaches_every_rank_once(world, binomial):
+    trees = [_tree(r, world, binomial) for r in range(world)]
+    assert trees[0][0] is None
+    assert sorted(c for _, kids in trees for c, _ in kids) == list(
+        range(1, world))
+    for r, (_, kids) in enumerate(trees):
+        for child, size in kids:
+            assert trees[child][0] == r
+            assert size == 1 + sum(k for _, k in trees[child][1])
+    assert 1 + sum(k for _, k in trees[0][1]) == world
+
+
 class TestPsGatherBroadcast:
     @pytest.mark.parametrize("world", [2, 3, 4, 8])
     @pytest.mark.parametrize("n", [1, 7, 64, 1000])
@@ -93,9 +107,22 @@ class TestPsGatherBroadcast:
         for r in run_vote(2, fn):
             assert r.tolist() == [2.0, -1.0]
 
+    @pytest.mark.parametrize("efficient", [False, True])
+    def test_float32_votes_travel_as_float64(self, efficient):
+        vecs = [np.array([0.5, -2.0], dtype=np.float32),
+                np.array([1.5, 1.0], dtype=np.float32)]
+
+        def fn(topo):
+            return ps_gather_broadcast(vecs[topo.rank], topo,
+                                       efficient=efficient).values
+
+        for values in run_vote(2, fn):
+            assert values.dtype == np.float64
+            assert values.tolist() == [2.0, -1.0]
+
     @pytest.mark.parametrize("world", [1, 2])
     @pytest.mark.parametrize("efficient", [False, True])
-    def test_int8_signs_sum_to_int64(self, world, efficient):
+    def test_int8_signs_sum_in_the_lane(self, world, efficient):
         signs = [np.array([1, -1, 0, 1, -1], dtype=np.int8) * (-1) ** r
                  for r in range(world)]
         expect = sum_oracle(signs)
@@ -105,7 +132,7 @@ class TestPsGatherBroadcast:
                                        efficient=efficient).values
 
         for r, values in enumerate(run_vote(world, fn)):
-            assert values.dtype == np.int64
+            assert values.dtype == LANE_DTYPES[choose_lane_bits(world, 1)]
             assert np.array_equal(values, expect)
             values[0] = 99  # a copy: the input is untouched
             assert signs[r][0] == (-1) ** r
@@ -158,7 +185,7 @@ class TestPsGatherBroadcast:
         assert transport.sizes == {-(-5 * choose_lane_bits(k, q_max) // 8)
                                    for k in ks}
         for values in results:
-            assert values.dtype == np.int64
+            assert values.dtype == sum_lane
             assert np.array_equal(values, sum_oracle(vecs))
 
 

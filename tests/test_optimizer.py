@@ -5,8 +5,7 @@ from lioncomm.collectives import run_ranks
 from lioncomm.errors import CapacityError, ConfigError
 from lioncomm.optimizer import (LionHyper, SyncPolicy, WorkerState,
                                 distributed_lion_step, hash_params, lion_step,
-                                maybe_sync_momentum, momentum_divergence,
-                                signsgd_majority_step)
+                                maybe_sync_momentum, momentum_divergence)
 from lioncomm.quant import QuantSpec
 from lioncomm.transport import InprocTransport
 
@@ -204,49 +203,6 @@ class TestDistributedLionStep:
             distributed_lion_step(fresh_state({"w": np.zeros(2)}),
                                   {"w": np.ones(2)}, h, spec=spec,
                                   topo=topo, algo="direct")
-
-
-class TestSignsgdMajority:
-    def test_majority_of_three(self):
-        h = LionHyper(beta1=0.9, beta2=0.99, lr=0.1, weight_decay=0.0)
-        grads = [np.array([1.0, 1.0]), np.array([2.0, -1.0]),
-                 np.array([-3.0, -1.0])]
-
-        def fn(topo):
-            s = fresh_state({"w": np.zeros(2)})
-            return signsgd_majority_step(s, {"w": grads[topo.rank]}, h, topo)
-
-        for r in run_vote(3, fn):
-            assert r.params["w"] == pytest.approx([-0.1, 0.1])
-            assert not r.momentum["w"].any()  # momentum untouched
-
-    def test_p1_is_sign_descent(self):
-        h = LionHyper(beta1=0.9, beta2=0.99, lr=0.1, weight_decay=0.0)
-
-        def fn(topo):
-            s = fresh_state({"w": np.array([0.0, 0.0])})
-            return signsgd_majority_step(
-                s, {"w": np.array([5.0, -0.2])}, h, topo,
-                zero_mode="exact-ternary")
-
-        r = run_vote(1, fn)[0]
-        assert r.params["w"] == pytest.approx([-0.1, 0.1])
-
-    def test_random_instance_matches_oracle(self):
-        rng = np.random.default_rng(5)
-        world, n = 5, 64
-        grads = [rng.normal(size=n) for _ in range(world)]
-        agg = np.sum([np.where(g >= 0, 1, -1) for g in grads], axis=0)
-        oracle = np.where(agg > 0, 1, np.where(agg < 0, -1, 1))
-        h = LionHyper(beta1=0.9, beta2=0.99, lr=1.0, weight_decay=0.0)
-
-        def fn(topo):
-            s = fresh_state({"w": np.zeros(n)})
-            return signsgd_majority_step(s, {"w": grads[topo.rank]}, h, topo,
-                                         algo="direct")
-
-        for r in run_vote(world, fn):
-            assert np.array_equal(r.params["w"], -oracle.astype(float))
 
 
 class TestMomentumSync:

@@ -19,6 +19,11 @@ keep their recorded message counts, but their bytes are no longer
 literals: each frame now rides the narrowest lane for the sum it carries,
 down to 2- and 4-bit fields, and ``lane_bytes`` gives the bytes each rank
 sends under that rule.
+
+The P=5, 6 and 7 cells of ``ps``, ``ps_efficient`` and
+``allreduce_mean_f32`` were recorded before the flat and binomial walks
+became one tree walk.  Before them, P=3 was the only world whose binomial
+tree has a subtree that P cuts short.
 """
 
 import numpy as np
@@ -93,6 +98,13 @@ TRAFFIC = {
     ('allgather_f64', 8, 7): ([7, 7, 7, 7, 7, 7, 7, 7], [392, 392, 392, 392, 392, 392, 392, 392]),
     ('allgather_f64', 8, 1000): ([7, 7, 7, 7, 7, 7, 7, 7], [56000, 56000, 56000, 56000, 56000, 56000, 56000, 56000]),
     ('allgather_f64', 8, 4099): ([7, 7, 7, 7, 7, 7, 7, 7], [229544, 229544, 229544, 229544, 229544, 229544, 229544, 229544]),
+    # P=5, 6, 7: binomial trees whose subtrees are cut short by P.
+    ('allreduce_mean_f32', 5, 7): ([3, 1, 2, 1, 1], [84, 28, 56, 28, 28]),
+    ('allreduce_mean_f32', 5, 1000): ([3, 1, 2, 1, 1], [12000, 4000, 8000, 4000, 4000]),
+    ('allreduce_mean_f32', 6, 7): ([3, 1, 2, 1, 2, 1], [84, 28, 56, 28, 56, 28]),
+    ('allreduce_mean_f32', 6, 1000): ([3, 1, 2, 1, 2, 1], [12000, 4000, 8000, 4000, 8000, 4000]),
+    ('allreduce_mean_f32', 7, 7): ([3, 1, 2, 1, 3, 1, 1], [84, 28, 56, 28, 84, 28, 28]),
+    ('allreduce_mean_f32', 7, 1000): ([3, 1, 2, 1, 3, 1, 1], [12000, 4000, 8000, 4000, 12000, 4000, 4000]),
 }
 
 
@@ -150,6 +162,18 @@ LANE_MSGS = {
     ('direct_signs', 8, 7): [14, 14, 14, 14, 14, 14, 14, 14],
     ('direct_signs', 8, 1000): [14, 14, 14, 14, 14, 14, 14, 14],
     ('direct_signs', 8, 4099): [14, 14, 14, 14, 14, 14, 14, 14],
+    ('ps', 5, 7): [4, 1, 1, 1, 1],
+    ('ps', 5, 1000): [4, 1, 1, 1, 1],
+    ('ps', 6, 7): [5, 1, 1, 1, 1, 1],
+    ('ps', 6, 1000): [5, 1, 1, 1, 1, 1],
+    ('ps', 7, 7): [6, 1, 1, 1, 1, 1, 1],
+    ('ps', 7, 1000): [6, 1, 1, 1, 1, 1, 1],
+    ('ps_efficient', 5, 7): [3, 1, 2, 1, 1],
+    ('ps_efficient', 5, 1000): [3, 1, 2, 1, 1],
+    ('ps_efficient', 6, 7): [3, 1, 2, 1, 2, 1],
+    ('ps_efficient', 6, 1000): [3, 1, 2, 1, 2, 1],
+    ('ps_efficient', 7, 7): [3, 1, 2, 1, 3, 1, 1],
+    ('ps_efficient', 7, 1000): [3, 1, 2, 1, 3, 1, 1],
 }
 
 

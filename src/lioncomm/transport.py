@@ -1,21 +1,16 @@
-"""Point-to-point transports the collectives are built on.
-
-Two interchangeable backends, both receiving from one FIFO per ordered
-rank pair through ``InprocTransport.recv``:
-
-* ``InprocTransport`` -- ranks run as threads inside a single process and
-  send straight into the FIFOs.  This is the default for tests.
-* ``SocketTransport`` -- a TCP mesh.  Rank i listens on base_port + i
-  (rank 0 on the configured port); for each pair the higher rank connects
-  and identifies itself with a 4-byte rank header.  Every message is
-  framed as: 8-byte generation, 4-byte source rank, 4-byte tag,
-  4-byte payload length, payload (all little-endian).  One reader thread
-  per peer moves each frame into its FIFO, so every peer is always
-  drained and no send waits on a receive; a read failure is queued in
-  place of a frame.
-
-Both deliver frames in order per ordered pair, which is all the lockstep
+"""Point-to-point transports the collectives are built on.  Both deliver
+frames in order per ordered rank pair, which is all the lockstep
 collectives require.
+
+* ``InprocTransport`` -- ranks run as threads of one process and send into
+  one FIFO per ordered rank pair.  This is the default for tests.
+* ``SocketTransport`` -- a TCP mesh.  Rank i listens on base_port + i; for
+  each pair the higher rank connects and sends its rank as a 4-byte header.
+  A frame is an 8-byte generation, 4-byte source rank, 4-byte tag and
+  4-byte payload length, then the payload (all little-endian).  The rank's
+  own thread does all socket I/O, only inside ``send`` or ``recv``: while
+  either waits it reads every readable peer into its inbox, so no send
+  waits on a receive.  Between calls, frames wait in kernel buffers.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ import queue
 import selectors
 import socket
 import struct
-import threading
 import time
 
 from .errors import CollectiveError, ConfigError
@@ -33,6 +27,10 @@ from .errors import CollectiveError, ConfigError
 FRAME_HEADER = struct.Struct("<qiii")  # generation, source, tag, length
 
 DEFAULT_TIMEOUT = 30.0
+
+
+def _broken(what: str, peer: int, generation: int, tag: int) -> CollectiveError:
+    return CollectiveError(what, rank=peer, generation=generation, phase=f"tag {tag}")
 
 
 class Transport:
@@ -71,60 +69,47 @@ class InprocTransport(Transport):
         self._queues[(src, dst)].put((generation, tag, bytes(payload)))
 
     def recv(self, dst, src, generation, tag, timeout):
-        fifo = self._queues[(src, dst)]
         try:
-            frame = fifo.get(timeout=timeout)
+            return self._queues[(src, dst)].get(timeout=timeout)
         except queue.Empty:
-            raise CollectiveError("timed out waiting for peer", rank=src,
-                                  generation=generation, phase=f"tag {tag}") from None
-        if isinstance(frame, Exception):
-            fifo.put(frame)  # the channel stays broken: later receives fail too
-            raise CollectiveError(f"receive from peer failed: {frame}", rank=src,
-                                  generation=generation,
-                                  phase=f"tag {tag}") from frame
-        return frame
+            raise _broken("timed out waiting for peer", src, generation, tag) from None
 
 
-class SocketTransport(InprocTransport):
-    """Full TCP mesh; one duplex connection per unordered rank pair, and
-    one reader thread per peer feeding the inherited FIFOs."""
+class SocketTransport(Transport):
+    """Full TCP mesh; one duplex connection per unordered rank pair.  All
+    of an endpoint's socket I/O runs on the thread that calls ``send`` or
+    ``recv``; two threads must not use one endpoint at the same time."""
 
     def __init__(self, world_size: int, rank: int, host: str = "127.0.0.1",
                  base_port: int = 29400, connect_timeout: float = DEFAULT_TIMEOUT):
-        super().__init__(world_size)
         if not 0 <= rank < world_size:
             raise ConfigError(f"rank {rank} outside world {world_size}")
-        self.rank = rank
+        self.world_size, self.rank = world_size, rank
+        self._timeout = connect_timeout
         self._socks: dict[int, socket.socket] = {}
-        self._lock = threading.Lock()
 
         # Every socket opened here is closed again if set-up fails.
         with contextlib.ExitStack() as opened:
-            listener = opened.enter_context(
-                socket.socket(socket.AF_INET, socket.SOCK_STREAM))
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             try:
-                listener.bind((host, base_port + rank))
+                listener = opened.enter_context(socket.create_server(
+                    (host, base_port + rank), backlog=world_size))
             except OSError as exc:
                 raise CollectiveError(
                     f"could not listen on port {base_port + rank}: {exc}",
                     phase="bind") from exc
-            listener.listen(world_size)
             listener.settimeout(connect_timeout)
             self._listener = listener
 
             # Rank order breaks symmetry: dial every lower-ranked peer,
             # accept every higher-ranked one.
             for peer in range(rank):
-                s = opened.enter_context(
-                    socket.socket(socket.AF_INET, socket.SOCK_STREAM))
-                s.settimeout(connect_timeout)
                 t0 = time.monotonic()
                 while True:
                     try:
-                        s.connect((host, base_port + peer))
+                        s = opened.enter_context(socket.create_connection(
+                            (host, base_port + peer), connect_timeout))
                         break
-                    except (ConnectionRefusedError, OSError):
+                    except OSError:
                         if time.monotonic() - t0 > connect_timeout:
                             raise CollectiveError("could not reach peer",
                                                   rank=peer, phase="connect")
@@ -135,8 +120,8 @@ class SocketTransport(InprocTransport):
                 try:
                     conn = opened.enter_context(listener.accept()[0])
                     conn.settimeout(connect_timeout)
-                    (peer,) = struct.unpack("<i", self._recv_exact(conn, bytearray(4)))
-                except (OSError, CollectiveError) as exc:
+                    (peer,) = struct.unpack("<i", conn.recv(4, socket.MSG_WAITALL))
+                except (OSError, struct.error) as exc:
                     raise CollectiveError(
                         f"a higher-ranked peer did not connect: {exc}",
                         phase="accept") from exc
@@ -146,67 +131,85 @@ class SocketTransport(InprocTransport):
                         phase="accept")
                 self._socks[peer] = conn
             opened.pop_all()  # set-up succeeded: keep every socket open
-        for s in self._socks.values():
+        self._inbox = {peer: [] for peer in self._socks}  # whole frames, in order
+        self._part = {}  # peer -> frame in progress: (buffer, filled, header)
+        self._failed: dict[int, str] = {}  # peer -> why its connection broke
+        self._selector = selectors.DefaultSelector()
+        for peer, s in self._socks.items():
             s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._readers = [threading.Thread(target=self._read, args=pair, daemon=True)
-                         for pair in self._socks.items()]
-        for reader in self._readers:
-            reader.start()
+            s.setblocking(False)
+            self._selector.register(s, selectors.EVENT_READ, peer)
 
-    @staticmethod
-    def _recv_exact(sock: socket.socket, buf: bytearray) -> bytearray:
-        """Fill ``buf`` from ``sock`` and return it; EOF first is an error."""
-        view = memoryview(buf)
-        while view:
-            got = sock.recv_into(view)
-            if not got:
-                raise CollectiveError("peer closed connection")
-            view = view[got:]
-        return buf
+    def _wait(self, timeout: float, writer: int | None = None):
+        """Wait up to ``timeout`` s, reading what each readable peer sent
+        (EOF or a reset fails that peer), or until ``writer`` can send."""
+        if writer is not None:
+            self._selector.modify(self._socks[writer],
+                                  selectors.EVENT_READ | selectors.EVENT_WRITE, writer)
+        ready = self._selector.select(timeout)
+        if writer is not None:
+            self._selector.modify(self._socks[writer], selectors.EVENT_READ, writer)
+        for key, _ in ready:
+            try:
+                self._pull(key.data, key.fileobj)
+            except OSError as exc:
+                self._failed[key.data] = str(exc)
+                self._selector.unregister(key.fileobj)
 
-    def _read(self, peer: int, sock: socket.socket):
-        """Reader thread: move each frame from ``peer``, read into one
-        buffer, to its FIFO.  A failure (reset, EOF, source mismatch, a
-        frame stalled past the socket timeout) is queued in its place."""
-        fifo = self._queues[(peer, self.rank)]
-        header = bytearray(FRAME_HEADER.size)
+    def _pull(self, peer: int, sock: socket.socket):
+        """Read ``peer``'s bytes straight into its frame in progress (header, then
+        payload); whole frames join its inbox.  A broken link raises ``OSError``."""
+        buf, filled, header = (self._part.get(peer)
+                               or (bytearray(FRAME_HEADER.size), 0, None))
         try:
-            with selectors.DefaultSelector() as idle:
-                idle.register(sock, selectors.EVENT_READ)
-                while True:
-                    # Idle gaps are waited out in 1 s slices; a socket
-                    # closed under this thread then fails the read below.
-                    if not idle.select(1.0) and sock.fileno() >= 0:
-                        continue
-                    generation, src, tag, length = FRAME_HEADER.unpack(
-                        self._recv_exact(sock, header))
-                    if src != peer:
-                        raise CollectiveError(f"frame source mismatch: got {src}")
-                    fifo.put((generation, tag,
-                              self._recv_exact(sock, bytearray(length))))
-        except (OSError, ValueError, CollectiveError) as exc:
-            # ValueError: the socket was closed before it could be registered.
-            fifo.put(exc)
+            got = sock.recv_into(memoryview(buf)[filled:])
+        except BlockingIOError:
+            return  # woken for writing only
+        if not got:
+            raise ConnectionError("peer closed connection")
+        filled += got
+        if header is None and filled == len(buf):
+            header = FRAME_HEADER.unpack(buf)  # generation, source, tag, length
+            if header[1] != peer or header[3] < 0:
+                raise ConnectionError(
+                    f"frame source mismatch: got {header[1]}, length {header[3]}")
+            buf, filled = bytearray(header[3]), 0
+        if header is not None and filled == len(buf):
+            self._inbox[peer].append((header, buf))
+            buf, filled, header = bytearray(FRAME_HEADER.size), 0, None
+        self._part[peer] = buf, filled, header
 
     def send(self, src, dst, generation, tag, payload):
         assert src == self.rank
         header = FRAME_HEADER.pack(generation, src, tag, len(payload))
-        with self._lock:
-            try:  # two writes: the payload is never copied into a frame
-                self._socks[dst].sendall(header)
-                self._socks[dst].sendall(payload)
-            except OSError as exc:
-                raise CollectiveError(f"send to peer failed: {exc}", rank=dst,
-                                      generation=generation,
-                                      phase=f"tag {tag}") from exc
+        try:  # two writes: the payload is never copied into a frame
+            for view in (memoryview(header), memoryview(payload).cast("B")):
+                stalled = time.monotonic() + self._timeout
+                while view:
+                    if dst in self._failed:
+                        raise ConnectionError(self._failed[dst])
+                    try:
+                        view = view[self._socks[dst].send(view):]
+                        stalled = time.monotonic() + self._timeout
+                    except BlockingIOError:
+                        self._wait(stalled - time.monotonic(), writer=dst)
+                        if time.monotonic() >= stalled:
+                            raise TimeoutError(f"stalled for {self._timeout} s")
+        except OSError as exc:
+            raise _broken(f"send to peer failed: {exc}", dst, generation, tag) from exc
+
+    def recv(self, dst, src, generation, tag, timeout):
+        inbox, deadline = self._inbox[src], time.monotonic() + timeout
+        while not inbox:
+            if src in self._failed:
+                raise _broken(f"receive from peer failed: {self._failed[src]}",
+                              src, generation, tag)
+            if time.monotonic() >= deadline:
+                raise _broken("timed out waiting for peer", src, generation, tag)
+            self._wait(deadline - time.monotonic())
+        (got_gen, _, got_tag, _), payload = inbox.pop(0)
+        return got_gen, got_tag, payload
 
     def close(self):
-        # Shutting down wakes every reader, even one blocked mid-frame.
-        for s in self._socks.values():
-            with contextlib.suppress(OSError):
-                s.shutdown(socket.SHUT_RDWR)
-        for reader in self._readers:
-            reader.join()
-        for s in self._socks.values():
+        for s in (self._selector, self._listener, *self._socks.values()):
             s.close()
-        self._listener.close()

@@ -56,7 +56,7 @@ def per_layer_vote(c, spec, topo, algo, policy, rng):
 
 def per_layer_lion_step(state, grad, h, spec, topo, algo, mask, rng):
     t = state.iteration + 1
-    eta = h.lr_at(t)
+    eta = h.lr
     policy = SignPolicy(mode="alternating", iteration=t)
     params, mom, signs, ties = {}, {}, {}, 0
     for name in sorted(state.params):

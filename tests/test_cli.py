@@ -207,7 +207,8 @@ class TestTrainOutputs:
     def test_socket_transport_matches_inproc(self, tmp_path):
         cfg = runner.RunConfig.from_dict(SMALL_TRAIN)
         a = runner.run_training(cfg, transport="inproc")
-        b = runner.run_training(cfg, transport="socket", base_port=29650)
+        b = runner.run_training(cfg, transport="socket",
+                                base_port=free_base_port(world=2))
         assert a["rows"] == b["rows"]
 
 

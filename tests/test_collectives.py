@@ -575,7 +575,7 @@ class TestSocketTransportParity:
             return ps_gather_broadcast(signs[topo.rank], topo, q_max=1).values
 
         inproc = run_vote(world, fn)
-        port = 29500 + {"direct": 0, "compressed": 10, "ps": 20}[algo]
+        port = free_base_port(world)
         socketed = run_ranks(
             world, fn,
             transport_factory=lambda r: SocketTransport(

@@ -31,14 +31,17 @@ def free_base_port(world=2, start=29800):
     raise RuntimeError("no free port block")
 
 
-def socket_mesh():
-    base = free_base_port()
-    ends = [None, None]
+def socket_mesh(world=2):
+    """``world`` connected socket endpoints, built on threads that have all
+    ended when this returns."""
+    base = free_base_port(world)
+    ends = [None] * world
 
     def connect(rank):
-        ends[rank] = SocketTransport(2, rank, base_port=base, connect_timeout=5)
+        ends[rank] = SocketTransport(world, rank, base_port=base,
+                                     connect_timeout=5)
 
-    threads = [threading.Thread(target=connect, args=(r,)) for r in (0, 1)]
+    threads = [threading.Thread(target=connect, args=(r,)) for r in range(world)]
     for t in threads:
         t.start()
     for t in threads:

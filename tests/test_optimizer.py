@@ -64,10 +64,10 @@ class TestLionStep:
             # direction is exactly sign-descent-with-momentum's
             assert np.array_equal(np.sign(c), np.sign(s.momentum["w"]))
 
-    def test_lr_schedule_callable(self):
-        h = LionHyper(beta1=0.9, beta2=0.99, lr=lambda t: 1.0 / t,
-                      weight_decay=0.0)
-        assert h.lr_at(4) == 0.25
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+    def test_non_positive_lr_rejected_at_construction(self, lr):
+        with pytest.raises(ConfigError):
+            LionHyper(lr=lr)
 
     def test_shape_mismatch_rejected(self):
         s = fresh_state({"w": [0.0, 0.0]})

@@ -1,5 +1,6 @@
 """The cross-rank parameter hash of a training run, one-rank-per-call socket
-training, and the sign lane of ``direct_allreduce`` on narrow inputs."""
+training, config checks made before any rank starts, and the sign lane of
+``direct_allreduce`` on narrow inputs."""
 
 import json
 import threading
@@ -38,6 +39,12 @@ def test_diverged_ranks_raise_collective_error(monkeypatch):
     with pytest.raises(CollectiveError) as err:
         runner.run_training(runner.RunConfig.from_dict(SMALL))
     assert err.value.rank == 1
+
+
+@pytest.mark.parametrize("lr", [0, -3e-4])
+def test_non_positive_lr_is_rejected_by_the_config(lr):
+    with pytest.raises(ConfigError, match="lr"):
+        runner.RunConfig.from_dict({"train": {"lr": lr}})
 
 
 def test_rank_per_call_socket_run_matches_inproc(tmp_path):

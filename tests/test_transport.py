@@ -14,41 +14,13 @@ from lioncomm.collectives import (Topology, allgather_f64, direct_allreduce,
                                   ps_gather_broadcast, run_ranks)
 from lioncomm.errors import CollectiveError, ConfigError
 from lioncomm.transport import FRAME_HEADER, SocketTransport
-
-
-def free_base_port(world=2):
-    """A base port whose ``world`` consecutive ports are free right now."""
-    for base in range(29700, 29990, world):
-        probes = []
-        try:
-            for rank in range(world):
-                s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                probes.append(s)
-                s.bind(("127.0.0.1", base + rank))
-            return base
-        except OSError:
-            continue
-        finally:
-            for s in probes:
-                s.close()
-    raise RuntimeError("no free port block")
+from test_frames import free_base_port, open_fds, socket_mesh
 
 
 @pytest.fixture
 def mesh():
     """Two connected socket endpoints, closed after the test."""
-    base = free_base_port()
-    ends = [None, None]
-
-    def connect(rank):
-        ends[rank] = SocketTransport(2, rank, base_port=base, connect_timeout=5)
-
-    threads = [threading.Thread(target=connect, args=(r,)) for r in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert all(e is not None for e in ends)
+    ends = socket_mesh()
     yield ends
     for e in ends:
         e.close()
@@ -115,6 +87,58 @@ def test_peer_closing_mid_collective_fails_at_once(mesh):
     assert again.value.rank == 1
 
 
+def test_send_after_peer_eof_raises_collective_error(mesh):
+    rank0, rank1 = mesh
+    rank1.close()
+    with pytest.raises(CollectiveError, match="closed"):
+        rank0.recv(0, 1, generation=3, tag=2, timeout=5)
+    with pytest.raises(CollectiveError) as err:
+        rank0.send(0, 1, generation=4, tag=5, payload=b"x")
+    assert (err.value.rank, err.value.generation, err.value.phase) == (1, 4, "tag 5")
+
+
+def test_send_to_peer_that_never_reads_times_out():
+    """A raw peer sends its rank header and then reads nothing: a 64 MB
+    send fails once no byte has gone out for ``connect_timeout``."""
+    base, timeout = free_base_port(), 1.0
+    ends = []
+    builder = threading.Thread(target=lambda: ends.append(
+        SocketTransport(2, 0, base_port=base, connect_timeout=timeout)))
+    builder.start()
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            peer = socket.create_connection(("127.0.0.1", base), timeout=5)
+            break
+        except ConnectionRefusedError:
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+    try:
+        peer.sendall(struct.pack("<i", 1))
+        builder.join(timeout=5)
+        assert not builder.is_alive()
+        (rank0,) = ends
+        t0 = time.monotonic()
+        with pytest.raises(CollectiveError) as err:
+            rank0.send(0, 1, generation=9, tag=4, payload=bytes(64 << 20))
+        assert time.monotonic() - t0 < timeout + 1
+        assert (err.value.rank, err.value.generation, err.value.phase) == (
+            1, 9, "tag 4")
+    finally:
+        peer.close()
+        for end in ends:
+            end.close()
+
+
+def test_mesh_starts_no_thread_and_closes_every_fd():
+    threads, fds = set(threading.enumerate()), open_fds()
+    ends = socket_mesh(3)
+    assert set(threading.enumerate()) == threads
+    for e in ends:
+        e.close()
+    assert open_fds() == fds
+
+
 def run_socket_ranks(fn, world=2, timeout=5):
     """``fn(topo)`` on ``world`` socket ranks with a short timeout."""
     base = free_base_port(world)
@@ -146,10 +170,33 @@ def test_allgather_larger_than_socket_buffers_does_not_stall():
         assert all(np.array_equal(g, v) for g, v in zip(got, vecs))
 
 
+@pytest.mark.parametrize("world", [3, 4])
+def test_frames_larger_than_socket_buffers_do_not_stall_any_world(world):
+    # With P >= 3, an endpoint that blocked on one whole frame could wait
+    # in a cycle: every rank sends to every other before it receives.
+    rng = np.random.default_rng(world)
+    ints = [rng.integers(-127, 128, size=8_000_000, dtype=np.int8)
+            for _ in range(world)]
+    floats = [np.arange(1_000_000, dtype=np.float64) * (r + 1)
+              for r in range(world)]
+
+    def fn(topo):
+        return (allgather_f64(floats[topo.rank], topo),
+                direct_allreduce(ints[topo.rank], topo, q_max=127).values)
+
+    t0 = time.monotonic()
+    results = run_socket_ranks(fn, world=world)
+    assert time.monotonic() - t0 < 10
+    expect = sum(v.astype(np.int64) for v in ints)
+    for gathered, total in results:
+        assert all(np.array_equal(g, v) for g, v in zip(gathered, floats))
+        assert np.array_equal(total, expect)
+
+
 def test_many_readers_under_fast_thread_switching():
-    # Four socket ranks (twelve reader threads on any core count) run
-    # mixed collectives with a very short interpreter switch interval:
-    # every frame must reach its FIFO whole and in order.
+    # Four socket ranks, one thread each, run mixed collectives with a
+    # very short interpreter switch interval: every frame must arrive
+    # whole and in order.
     world = 4
     vecs = [np.arange(5_000, dtype=np.float64) * (r + 1) for r in range(world)]
 

@@ -13,8 +13,9 @@ Four ways to obtain the aggregated update at every rank:
 
 Both integer votes, ``ps`` and ``direct``, sum integers in [-q_max, q_max]
 in the narrowest signed lane whose maximum holds P*q_max
-(``choose_lane_bits``), so no partial sum can overflow, and return the sum
-in that lane's dtype.  Each frame rides the narrowest lane for the sum it
+(``quant.choose_lane_bits``, ``quantize``'s width rule too), so no partial
+sum can overflow, and return the sum in that lane's dtype; one with no
+``q_max`` raises.  Each frame rides the narrowest lane for the sum it
 carries: ``choose_lane_bits(k, q_max)`` for the sum of k ranks' values
 (k=1 for a rank's own values, the subtree size for a tree's partial sum, P
 for a total), down to 2- and 4-bit ``quant.pack_ints`` fields; ``ps``
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, CollectiveError, ConfigError
-from .quant import SignPolicy, apply_sign, pack, pack_ints, unpack, unpack_ints
+from .quant import (LANE_DTYPES, SignPolicy, apply_sign, choose_lane_bits,
+                    pack, pack_ints, unpack, unpack_ints)
 from .transport import DEFAULT_TIMEOUT, InprocTransport, Transport
 
 # Tags distinguish phases within one collective generation.
@@ -56,10 +58,6 @@ TAG_ALLGATHER = 8
 # (lane) and float inputs fail the tag check even where a float frame and
 # a lane frame have the same byte length.
 TAG_FLOAT_WORDS = 16
-
-# Signed lane width -> the dtype its values are summed in.  The 2- and
-# 4-bit lanes sum in int8 and travel as ``quant.pack_ints`` fields.
-LANE_DTYPES = {2: np.int8, 4: np.int8, 8: np.int8, 16: np.int16, 32: np.int32}
 
 
 @dataclass
@@ -188,22 +186,15 @@ def _broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
     return vec if parent is None else decode(payload)
 
 
-def choose_lane_bits(workers: int, q_max: int) -> int:
-    """Narrowest signed lane in {2, 4, 8, 16, 32} whose maximum holds the
-    worst-case sum ``workers * q_max``."""
-    need = workers * q_max
-    for bits in LANE_DTYPES:
-        if need < 1 << (bits - 1):
-            return bits
-    raise CapacityError(
-        f"sum of {workers} values up to {q_max} exceeds a 32-bit lane")
-
-
-def _lane(q: np.ndarray, workers: int, q_max: int,
+def _lane(q: np.ndarray, workers: int, q_max: int | None,
           lane_bits: int | None = None) -> int:
     """The width of the lane in which ``workers`` vectors like ``q`` are
     summed, after checking, in ``q``'s own dtype, that it holds integers in
     [-q_max, q_max] and that the lane holds ``workers * q_max``."""
+    if q.dtype.kind not in "iu":
+        raise ConfigError(f"integer votes sum integers, not {q.dtype}")
+    if q_max is None:
+        raise ConfigError(f"a {q.dtype} vote needs q_max")
     need = choose_lane_bits(workers, q_max)
     lane_bits = need if lane_bits is None else lane_bits
     if lane_bits not in LANE_DTYPES:
@@ -212,8 +203,6 @@ def _lane(q: np.ndarray, workers: int, q_max: int,
         raise CapacityError(
             f"{workers} workers x values up to {q_max} need a {need}-bit "
             f"lane, not {lane_bits}")
-    if q.dtype.kind not in "iu":
-        raise ConfigError(f"integer votes sum integers, not {q.dtype}")
     if q.size and (q.min() < -q_max or q.max() > q_max):
         raise ConfigError(f"values exceed declared q_max={q_max}")
     return lane_bits
@@ -255,8 +244,6 @@ def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
         dtype, extra = np.float64, TAG_FLOAT_WORDS
         frames = lambda k: words
     else:
-        if q_max is None:
-            raise ConfigError(f"a {vec.dtype} vote needs q_max")
         dtype, extra = LANE_DTYPES[_lane(vec, p, q_max)], 0
         frames = lambda k: _lane_frames(choose_lane_bits(k, q_max), vec.size)
     gen = topo.next_generation()
@@ -267,7 +254,7 @@ def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
     return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
 
 
-def direct_allreduce(q_i, topo: Topology, q_max: int,
+def direct_allreduce(q_i, topo: Topology, q_max: int | None,
                      lane_bits: int | None = None) -> VoteResult:
     """Exact elementwise sum across ranks: the vector is cut into P chunks,
     rank j sums chunk j of every rank, and allgathers the summed chunk.

@@ -12,14 +12,14 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
 from . import collectives as coll
 from .collectives import Topology, VoteResult
 from .errors import ConfigError
-from .quant import QuantSpec, SignPolicy, apply_sign, quantize
+from .quant import QuantSpec, SignPolicy, vote_input
 
 ParamSet = dict[str, np.ndarray]
 
@@ -64,7 +64,7 @@ class WorkerState:
 
     @classmethod
     def initial(cls, params: ParamSet) -> "WorkerState":
-        return cls(params={k: v.astype(np.float64).copy() for k, v in params.items()},
+        return cls(params={k: v.astype(np.float64) for k, v in params.items()},
                    momentum=zeros_like_params(params), iteration=0)
 
 
@@ -127,24 +127,17 @@ def lion_step(state: WorkerState, grad: ParamSet, h: LionHyper) -> WorkerState:
     return WorkerState(params=new_params, momentum=new_mom, iteration=t)
 
 
-def _vote_q_max(spec: QuantSpec | None) -> int | None:
-    """The range [-q_max, q_max] an integer vote declares: 1 for signs, the
-    quantizer's ``qmax`` otherwise; None for a full-precision vote."""
-    if spec is None:
-        return None
-    return 1 if spec.bits == 1 else spec.qmax
-
-
 # Vote algorithm -> the collective over a step's bucket, called as
-# f(bucket, topo, spec, policy).  ``coll.<fn>`` is looked up at call time,
-# so a wrapper installed on the collectives module is seen.
+# f(bucket, topo, spec, policy).  ``spec and spec.qmax`` is the vote's
+# range, None for a full-precision vote.  ``coll.<fn>`` is looked up at
+# call time, so a wrapper installed on the collectives module is seen.
 VOTE_ALGOS = {
     "ps": lambda b, topo, spec, policy: coll.ps_gather_broadcast(
-        b, topo, _vote_q_max(spec)),
+        b, topo, spec and spec.qmax),
     "ps_efficient": lambda b, topo, spec, policy: coll.ps_gather_broadcast(
-        b, topo, _vote_q_max(spec), efficient=True),
+        b, topo, spec and spec.qmax, efficient=True),
     "direct": lambda b, topo, spec, policy: coll.direct_allreduce(
-        b, topo, q_max=_vote_q_max(spec)),
+        b, topo, q_max=spec and spec.qmax),
     "compressed1bit": lambda b, topo, spec, policy:
         coll.compressed_allreduce_1bit(b, topo, policy),
 }
@@ -169,15 +162,9 @@ def _vote(cs: list[np.ndarray], spec: QuantSpec | None, topo: Topology,
     t0 = time.perf_counter()
     if algo not in VOTE_ALGOS:
         raise ConfigError(f"unknown vote algorithm {algo!r}")
-    if spec is None and algo == "direct":
-        raise ConfigError("direct allreduce needs an integer QuantSpec")
-    if algo == "compressed1bit" or spec is None:
-        q = cs  # the 1-bit collective takes signs itself; None sums c as is
-    elif spec.bits == 1:
-        q = [apply_sign(c, policy) for c in cs]
-    else:
-        q = [quantize(c, spec, rng=rng) for c in cs]
-    bucket = _fuse(q)
+    # The 1-bit collective takes the signs itself.
+    bucket = _fuse(cs if algo == "compressed1bit"
+                   else [vote_input(c, spec, policy, rng) for c in cs])
     t1 = time.perf_counter()
     vote = VOTE_ALGOS[algo](bucket, topo, spec, policy)
     # The 1-bit vote already is the majority sign.
@@ -191,21 +178,20 @@ def _vote(cs: list[np.ndarray], spec: QuantSpec | None, topo: Topology,
 
 def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
                           spec: QuantSpec | None, topo: Topology, algo: str,
-                          mask: Mapping[str, np.ndarray] | None = None,
                           zero_mode: str = "alternating",
                           rng: np.random.Generator | None = None,
                           metrics_out: dict | None = None) -> WorkerState:
     """One distributed Lion step (majority vote over quantized updates).
 
-    Per layer: c_i = beta1*m + (1-beta1)*g_i, masked, then quantized per
-    ``spec`` (None = full precision, bits=1 = sign) with the layer's own
-    scale.  The layers are quantized in sorted-name order, so stochastic
-    rounding draws from ``rng`` in that order, and concatenated into one
-    bucket that a single ``algo`` collective aggregates: one collective per
-    step, whatever the number of layers.  Every rank applies sign(c*), with
-    zero aggregates resolved by ``zero_mode`` at the parity of the new
-    iteration.  Momentum is updated from the local gradient only and never
-    communicated here.
+    Per layer: c_i = beta1*m + (1-beta1)*g_i, turned into the vote
+    ``quant.vote_input`` gives for ``spec`` (None = full precision, bits=1 =
+    sign) on the layer's own scale.  The layers are quantized in sorted-name
+    order, so stochastic rounding draws from ``rng`` in that order, and
+    concatenated into one bucket that a single ``algo`` collective
+    aggregates: one collective per step, whatever the number of layers.
+    Every rank applies sign(c*), with zero aggregates resolved by
+    ``zero_mode`` at the parity of the new iteration.  Momentum is updated
+    from the local gradient only and never communicated here.
 
     ``metrics_out``, when given, receives per-layer "vote_sign" and
     "c_local" entries and "ties", the step's total tie count.
@@ -221,8 +207,6 @@ def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
     for name in names:
         c = np.multiply(h.beta1, state.momentum[name])
         c += (1.0 - h.beta1) * grad_i[name]
-        if mask is not None and name in mask:
-            c = np.where(mask[name], c, 0.0)
         cs.append(c)
     signs, vote = _vote(cs, spec, topo, algo, policy, rng, timing=metrics_out)
     new_params: ParamSet = {}

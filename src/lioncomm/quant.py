@@ -3,10 +3,12 @@
 The central piece is ``quantize``, an L_p-normalized integer quantizer:
 instead of scaling by the max-norm (which a single outlier can blow up),
 values are scaled by the mean p-norm, so heavy-tailed inputs keep most of
-their resolution.  ``pack``/``unpack`` turn {-1, +1} sign vectors into
-bare ``np.packbits(..., bitorder="little")`` bytes for the 1-bit wire;
-``pack_ints``/``unpack_ints`` do the same for signed 2- and 4-bit integer
-fields, the sub-byte lanes of the integer votes.
+their resolution.  ``vote_input`` decides what a worker votes with under a
+spec, in [-qmax, qmax], and ``choose_lane_bits`` which signed lane
+(``LANE_DTYPES``) holds a sum of such votes.  ``pack``/``unpack`` turn
+{-1, +1} sign vectors into bare ``np.packbits(..., bitorder="little")``
+bytes for the 1-bit wire; ``pack_ints``/``unpack_ints`` do the same for
+signed 2- and 4-bit integer fields, the sub-byte lanes of the integer votes.
 
 The sign path stays in narrow dtypes: ``apply_sign``, ``unpack`` and
 ``unpack_ints`` return int8, and ``quantize`` returns the narrowest signed
@@ -24,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, PackFormatError, PackRangeError
+from .errors import CapacityError, ConfigError, PackFormatError, PackRangeError
 
 # Sentinel accepted for QuantSpec.norm_p alongside float("inf").
 INF = float("inf")
@@ -34,7 +36,7 @@ INF = float("inf")
 class QuantSpec:
     """Configuration of the integer quantizer.
 
-    bits: output levels span [-(2^(bits-1)-1), 2^(bits-1)-1].
+    bits: 1 (votes signs) to 32 (``quantize`` levels span [-qmax, qmax]).
     norm_p: 0 (geometric mean), a finite p > 0, or inf (max norm).
     rounding: "nearest" (half-to-even) or "stochastic".
     log_transform: quantize sign(x)*ln(1+|x|/s) instead of x (s = mean |x|).
@@ -48,8 +50,8 @@ class QuantSpec:
     no_zero: bool = False
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ConfigError(f"bits must be >= 1, got {self.bits}")
+        if not 1 <= self.bits <= 32:
+            raise ConfigError(f"bits must be in 1..32, got {self.bits}")
         if not (self.norm_p == 0 or self.norm_p > 0):
             raise ConfigError(f"norm_p must be 0, positive, or inf: {self.norm_p}")
         if self.rounding not in ("nearest", "stochastic"):
@@ -57,8 +59,8 @@ class QuantSpec:
 
     @property
     def qmax(self) -> int:
-        """Largest representable magnitude."""
-        return 2 ** (self.bits - 1) - 1
+        """Vote range [-qmax, qmax]: 2^(bits-1) - 1, or 1 for signs."""
+        return max(1, 2 ** (self.bits - 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -130,14 +132,6 @@ def _log_map(x: np.ndarray, s: float) -> np.ndarray:
     return np.sign(x) * np.log1p(np.abs(x) / s)
 
 
-def _int_dtype(qmax: int):
-    """Narrowest signed integer dtype that holds [-qmax, qmax]."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if qmax <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
-
-
 def quantize(x: np.ndarray, spec: QuantSpec,
              rng: np.random.Generator | None = None) -> np.ndarray:
     """Quantize a real vector to integers in [-qmax, qmax].
@@ -146,13 +140,20 @@ def quantize(x: np.ndarray, spec: QuantSpec,
     p = inf:   q_i = sround(qmax / max|x| * x_i)  (stochastic rounding,
                pass ``rng``; ``rounding="nearest"`` overrides for ablations).
     An all-zero input returns the all-zero vector.  The result's dtype is
-    the narrowest signed one that holds qmax: int8 for bits <= 8.
+    the lane of ``choose_lane_bits(1, qmax)``: int8 for bits <= 8.  A 1-bit
+    spec (it votes signs) or a non-finite entry raises ``ConfigError``.
     """
+    if spec.bits == 1:
+        raise ConfigError("a 1-bit spec votes signs; quantize has no levels")
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ConfigError("quantize of an empty vector")
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = x.size - np.count_nonzero(finite)
+        raise ConfigError(f"cannot quantize {bad} non-finite entries")
     qmax = spec.qmax
-    dtype = _int_dtype(qmax)
+    dtype = LANE_DTYPES[choose_lane_bits(1, qmax)]
 
     y = x
     if spec.log_transform:
@@ -161,7 +162,7 @@ def quantize(x: np.ndarray, spec: QuantSpec,
             y = _log_map(x, log_scale)
 
     m = lp_mean_norm(y, spec.norm_p)
-    if m == 0 or qmax == 0:
+    if m == 0:
         q = np.zeros(x.shape, dtype=dtype)
     else:
         # Rounding is monotone and fixes integers, so clamping first gives
@@ -202,6 +203,17 @@ def apply_sign(x: np.ndarray, policy: SignPolicy) -> np.ndarray:
     return (x > 0).view(np.int8) - (x < 0).view(np.int8)
 
 
+def vote_input(c: np.ndarray, spec: QuantSpec | None, policy: SignPolicy,
+               rng: np.random.Generator | None = None) -> np.ndarray:
+    """What a worker votes with under ``spec``: ``c`` itself for None, its
+    signs for a 1-bit spec, its ``quantize`` integers otherwise."""
+    if spec is None:
+        return c
+    if spec.bits == 1:
+        return apply_sign(c, policy)
+    return quantize(c, spec, rng=rng)
+
+
 def pack(signs: np.ndarray) -> bytes:
     """Bare sign bits of a {-1, +1} vector: +1 is a set bit, element 0 the
     low bit of byte 0, ceil(n/8) bytes with no header."""
@@ -226,6 +238,22 @@ def unpack(payload, count: int) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count,
                          bitorder="little")
     return 2 * bits.view(np.int8) - 1
+
+
+# Signed lane width -> the dtype its values are summed in.  The 2- and
+# 4-bit lanes sum in int8 and travel as ``pack_ints`` fields.
+LANE_DTYPES = {2: np.int8, 4: np.int8, 8: np.int8, 16: np.int16, 32: np.int32}
+
+
+def choose_lane_bits(workers: int, q_max: int) -> int:
+    """Narrowest signed lane in {2, 4, 8, 16, 32} whose maximum holds the
+    worst-case sum ``workers * q_max``."""
+    need = workers * q_max
+    for bits in LANE_DTYPES:
+        if need < 1 << (bits - 1):
+            return bits
+    raise CapacityError(
+        f"sum of {workers} values up to {q_max} exceeds a 32-bit lane")
 
 
 def pack_ints(values: np.ndarray, bits: int) -> bytes:

@@ -25,7 +25,7 @@ from .errors import CollectiveError, ConfigError
 from .optimizer import (VOTE_ALGOS, LionHyper, SyncPolicy, WorkerState,
                         distributed_lion_step, hash_params,
                         maybe_sync_momentum, momentum_divergence)
-from .quant import INF, QuantSpec, SignPolicy, apply_sign, quantize
+from .quant import INF, QuantSpec, SignPolicy, vote_input
 from .transport import SocketTransport
 from .workloads import (MlpModel, NoiseSpec, init_mlp, noisy_client_grads,
                         synth_update_vectors, teacher_student_batch)
@@ -289,26 +289,17 @@ def run_training(cfg: RunConfig, out_dir: str | None = None,
 
 # ------------------------------------------------------- quantizer bench
 
-BENCH_VARIANTS = ("1bit", "qinf", "qinf_nozero", "log", "q1", "q0")
+# Quantizer variant -> its ``quant`` config at the run's bits, in row order.
+BENCH_VARIANTS = {
+    "1bit": {"kind": "sign"},
+    "qinf": {"norm_p": "inf"},
+    "qinf_nozero": {"norm_p": "inf", "no_zero": True},
+    "log": {"norm_p": "inf", "log_transform": True},
+    "q1": {"norm_p": 1.0},
+    "q0": {"norm_p": 0.0},
+}
 
 BENCH_CSV_COLUMNS = ("quantizer", "sign_match_rate", "flip_rate")
-
-
-def bench_spec(variant: str, bits: int) -> QuantSpec | None:
-    if variant == "1bit":
-        return None
-    if variant == "qinf":
-        return QuantSpec(bits=bits, norm_p=INF, rounding="stochastic")
-    if variant == "qinf_nozero":
-        return QuantSpec(bits=bits, norm_p=INF, rounding="stochastic", no_zero=True)
-    if variant == "log":
-        return QuantSpec(bits=bits, norm_p=INF, rounding="stochastic",
-                         log_transform=True)
-    if variant == "q1":
-        return QuantSpec(bits=bits, norm_p=1.0)
-    if variant == "q0":
-        return QuantSpec(bits=bits, norm_p=0.0)
-    raise ConfigError(f"unknown quantizer variant {variant!r}")
 
 
 def make_worker_updates(workers: int, d: int, dist: str,
@@ -332,15 +323,15 @@ def quant_bench(updates: list[np.ndarray], bits: int, seed: int = 0,
     excluded on both sides.
     """
     ref = np.sign(np.sum(np.stack(updates), axis=0))
+    policy = SignPolicy(mode="alternating", iteration=1)
     rows = []
     for variant in variants:
+        doc = BENCH_VARIANTS.get(variant) if isinstance(variant, str) else None
+        if doc is None:
+            raise ConfigError(f"unknown quantizer variant {variant!r}")
+        spec = parse_quant({**doc, "bits": bits})
         rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
-        spec = bench_spec(variant, bits)
-        if spec is None:
-            policy = SignPolicy(mode="alternating", iteration=1)
-            q = [apply_sign(c, policy) for c in updates]
-        else:
-            q = [quantize(c, spec, rng=rng) for c in updates]
+        q = [vote_input(c, spec, policy, rng) for c in updates]
         match, flip = _match_flip(np.sign(np.sum(np.stack(q), axis=0)), ref)
         rows.append({"quantizer": variant, "sign_match_rate": match,
                      "flip_rate": flip})

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from lioncomm import collectives, costmodel
-from lioncomm.optimizer import VOTE_ALGOS
-from lioncomm.quant import SignPolicy
+from lioncomm.optimizer import (VOTE_ALGOS, LionHyper, WorkerState,
+                                distributed_lion_step)
+from lioncomm.quant import INF, QuantSpec, SignPolicy
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -65,3 +66,37 @@ def test_one_bit_vote_records_pack_and_unpack_spans():
     for totals in tracer.totals:
         for name in ("quant.pack", "quant.unpack"):
             assert totals[name][tracing.CALLS] > 0, name
+
+
+def traced_step_calls(spec, algo):
+    """Span call counts, per rank, of one traced two-rank step on one layer."""
+    tracer = tracing.Tracer(2)
+    start = WorkerState.initial({"w": np.zeros(37)})
+    h = LionHyper(lr=0.01)
+
+    def rank(topo):
+        tracer.bind(topo.rank)
+        grad = {"w": np.random.default_rng(topo.rank).normal(size=37)}
+        distributed_lion_step(start, grad, h, spec, topo, algo,
+                              rng=np.random.default_rng(topo.rank))
+
+    with tracing.patched(tracer):
+        collectives.run_ranks(2, rank, timeout=5)
+    return [{name: rec[tracing.CALLS] for name, rec in totals.items()}
+            for totals in tracer.totals]
+
+
+def test_quantized_step_records_quantize_and_sround_spans():
+    """The ``bulk`` workload's guard expects both spans on an 8-bit L-inf
+    stochastic vote: the optimizer's quantize and quantize's own sround."""
+    spec = QuantSpec(bits=8, norm_p=INF, rounding="stochastic")
+    for calls in traced_step_calls(spec, "direct"):
+        assert calls.get("quant.quantize") == 1
+        assert calls.get("quant.sround") == 1
+
+
+def test_sign_step_records_both_apply_sign_spans():
+    """A sign vote takes apply_sign twice per rank: once for the rank's own
+    signs and once for the majority, both through the wrappers."""
+    for calls in traced_step_calls(QuantSpec(bits=1), "ps"):
+        assert calls.get("quant.apply_sign") == 2

@@ -54,7 +54,7 @@ def per_layer_vote(c, spec, topo, algo, policy, rng):
     return majority_sign(vote, policy), vote
 
 
-def per_layer_lion_step(state, grad, h, spec, topo, algo, mask, rng):
+def per_layer_lion_step(state, grad, h, spec, topo, algo, rng):
     t = state.iteration + 1
     eta = h.lr
     policy = SignPolicy(mode="alternating", iteration=t)
@@ -62,8 +62,6 @@ def per_layer_lion_step(state, grad, h, spec, topo, algo, mask, rng):
     for name in sorted(state.params):
         theta, m, g = state.params[name], state.momentum[name], grad[name]
         c = h.beta1 * m + (1.0 - h.beta1) * g
-        if name in mask:
-            c = np.where(mask[name], c, 0.0)
         sign, vote = per_layer_vote(c, spec, topo, algo, policy, rng)
         params[name] = theta - eta * (sign + h.weight_decay * theta)
         mom[name] = h.beta2 * m + (1.0 - h.beta2) * g
@@ -81,15 +79,23 @@ def layered_inputs(world, seed, sizes=SIZES):
         params={n: rng.normal(size=k) for n, k in sizes.items()},
         momentum={n: rng.integers(-1, 2, size=k) * 0.25
                   for n, k in sizes.items()})
-    mask = {"b": np.arange(7) % 3 != 0, "c": rng.random(130) < 0.7}
-    return grads, start, mask
+    # Zero gradients and momentum on some coordinates, so c is exactly 0
+    # there at both steps.
+    zeroed = {"b": np.arange(7) % 3 == 0, "c": rng.random(130) >= 0.7}
+    for name, where in zeroed.items():
+        if name in sizes:
+            start.momentum[name][where] = 0.0
+            for step in grads:
+                for g in step:
+                    g[name][where] = 0.0
+    return grads, start
 
 
 @pytest.mark.parametrize("world", [1, 2, 3, 4])
 @pytest.mark.parametrize("algo,spec_name", algo_specs(SPECS))
 def test_bucketed_step_matches_per_layer_loop(algo, spec_name, world):
     spec = SPECS[spec_name]
-    grads, start, mask = layered_inputs(world, seed=world * 31 + len(spec_name))
+    grads, start = layered_inputs(world, seed=world * 31 + len(spec_name))
 
     def fn(topo):
         out = []
@@ -99,11 +105,10 @@ def test_bucketed_step_matches_per_layer_loop(algo, spec_name, world):
             seed = [world, topo.rank, t]
             info = {}
             fused = distributed_lion_step(
-                fused, g, H, spec, topo, algo, mask=mask,
+                fused, g, H, spec, topo, algo,
                 rng=np.random.default_rng(seed), metrics_out=info)
             oracle, signs, ties = per_layer_lion_step(
-                oracle, g, H, spec, topo, algo, mask,
-                np.random.default_rng(seed))
+                oracle, g, H, spec, topo, algo, np.random.default_rng(seed))
             out.append((fused, info, oracle, signs, ties))
         return out
 
@@ -120,12 +125,12 @@ def test_bucketed_step_matches_per_layer_loop(algo, spec_name, world):
 
 def test_bucketed_step_has_ties_to_compare():
     # The inputs above must actually produce ties, or the tie check is idle.
-    grads, start, mask = layered_inputs(4, seed=4 * 31 + 4)
+    grads, start = layered_inputs(4, seed=4 * 31 + 4)
 
     def fn(topo):
         info = {}
         distributed_lion_step(start, grads[0][topo.rank], H, SPECS["sign"],
-                              topo, "ps", mask=mask, metrics_out=info)
+                              topo, "ps", metrics_out=info)
         return info["ties"]
 
     assert all(t > 0 for t in run_ranks(4, fn))
@@ -147,7 +152,7 @@ def test_messages_per_step_do_not_depend_on_layer_count(algo, spec_name):
     world = 4
 
     def messages(sizes):
-        grads, start, _ = layered_inputs(world, seed=5, sizes=sizes)
+        grads, start = layered_inputs(world, seed=5, sizes=sizes)
         transport = CountingTransport(world)
 
         def fn(topo):

@@ -10,6 +10,7 @@ import pytest
 
 import lioncomm
 from lioncomm import cli, runner
+from lioncomm.errors import ConfigError
 from lioncomm.optimizer import WorkerState, lion_step
 from lioncomm.workloads import init_mlp, teacher_student_batch
 from test_frames import free_base_port
@@ -237,6 +238,19 @@ class TestQuantBenchCommand:
         # sign-preserving variants never flip, even when they emit zeros
         for r in runner.quant_bench(updates, bits=8, seed=0):
             assert r["flip_rate"] == 0.0
+
+    def test_every_variant_votes_signs_at_one_bit(self):
+        # A 1-bit spec votes signs whatever its norm, as in training.
+        rows = runner.run_quant_bench({"bits": 1, "d": 1000})
+        assert [r["quantizer"] for r in rows] == list(runner.BENCH_VARIANTS)
+        for r in rows:
+            assert (r["sign_match_rate"], r["flip_rate"]) == (
+                rows[0]["sign_match_rate"], rows[0]["flip_rate"])
+        assert rows[0]["sign_match_rate"] > 0.5
+
+    def test_unknown_variant_is_rejected(self):
+        with pytest.raises(ConfigError, match="nope"):
+            runner.run_quant_bench({"d": 100, "variants": ["q1", "nope"]})
 
 
 class TestCostmodelCommand:

@@ -238,6 +238,15 @@ class TestDirectAllreduce:
                              lane_bits=8)
         assert all(q.empty() for q in transport._queues.values())
 
+    def test_integers_without_q_max_are_rejected_before_any_send(self):
+        # Like ps, a ConfigError at every rank, not a TypeError, and no
+        # frame is queued.
+        transport = InprocTransport(3)
+        errors = errors_per_rank(3, lambda topo: direct_allreduce(
+            np.array([1, -1, 0]), topo, q_max=None), transport, timeout=3)
+        assert all(isinstance(e, ConfigError) for e in errors)
+        assert all(q.empty() for q in transport._queues.values())
+
     def test_choose_lane_bits(self):
         assert choose_lane_bits(8, 15) == 8   # 8 * 15 = 120 fits int8
         assert choose_lane_bits(125, 15) == 16

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from lioncomm.collectives import run_ranks
-from lioncomm.errors import CapacityError, ConfigError
+from lioncomm.errors import (CapacityError, CollectiveError, ConfigError,
+                             LionCommError)
 from lioncomm.optimizer import (LionHyper, SyncPolicy, WorkerState,
                                 distributed_lion_step, hash_params, lion_step,
                                 maybe_sync_momentum, momentum_divergence)
@@ -27,6 +30,14 @@ def divergence_from_momenta(momenta):
 def fresh_state(params):
     return WorkerState.initial({k: np.asarray(v, dtype=np.float64)
                                 for k, v in params.items()})
+
+
+def test_initial_state_copies_the_callers_arrays():
+    w = np.array([1.0, 2.0])
+    s = WorkerState.initial({"w": w})
+    w[0] = 9.0
+    assert s.params["w"].tolist() == [1.0, 2.0]
+    assert s.momentum["w"].tolist() == [0.0, 0.0]
 
 
 class TestLionStep:
@@ -192,6 +203,36 @@ class TestDistributedLionStep:
 
         with pytest.raises(ConfigError):
             run_vote(2, fn)
+
+    def test_non_finite_gradient_fails_every_rank(self):
+        # The rank with the NaN raises before it sends anything; its peers
+        # time out waiting for it rather than vote without it.
+        h = LionHyper(beta1=0.9, beta2=0.99, lr=0.01, weight_decay=0.0)
+        grads = [np.ones(5), np.array([1.0, np.nan, 1, 1, 1]), -np.ones(5)]
+        sent = [0, 0, 0]
+
+        class Counting(InprocTransport):
+            def send(self, src, dst, generation, tag, payload):
+                sent[src] += 1
+                super().send(src, dst, generation, tag, payload)
+
+        def fn(topo):
+            try:
+                distributed_lion_step(
+                    fresh_state({"w": np.zeros(5)}), {"w": grads[topo.rank]},
+                    h, spec=QuantSpec(bits=8, norm_p=1), topo=topo,
+                    algo="direct")
+            except LionCommError as exc:
+                return exc
+            return None
+
+        t0 = time.monotonic()
+        errors = run_ranks(3, fn, transport=Counting(3), timeout=0.5)
+        assert time.monotonic() - t0 < 5
+        assert isinstance(errors[1], ConfigError)
+        assert "1 non-finite" in str(errors[1])
+        assert sent[1] == 0
+        assert all(isinstance(errors[r], CollectiveError) for r in (0, 2))
 
     def test_capacity_error_propagates(self):
         h = LionHyper(beta1=0.9, beta2=0.99, lr=0.01, weight_decay=0.0)

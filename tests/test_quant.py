@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lioncomm.errors import ConfigError, PackFormatError, PackRangeError
 from lioncomm.quant import (INF, QuantSpec, SignPolicy, _log_map, apply_sign,
                             lp_mean_norm, pack, pack_ints, quantize, sround,
-                            unpack, unpack_ints)
+                            unpack, unpack_ints, vote_input)
 
 
 class TestLpMeanNorm:
@@ -122,6 +122,46 @@ class TestQuantize:
             quantize(np.ones(3), QuantSpec(bits=8, norm_p=INF,
                                            rounding="stochastic"))
 
+    @pytest.mark.parametrize("spec", [
+        QuantSpec(bits=8, norm_p=1),
+        QuantSpec(bits=8, norm_p=INF, rounding="stochastic"),
+        QuantSpec(bits=4, norm_p=0, log_transform=True),
+    ], ids=str)
+    def test_non_finite_input_raises_with_count(self, spec):
+        # One NaN or inf would otherwise zero the whole layer's vote.
+        x = np.array([1.0, np.nan, -2.0, 3.0, np.inf, -np.inf])
+        with pytest.raises(ConfigError, match="3 non-finite"):
+            quantize(x, spec, rng=np.random.default_rng(0))
+
+
+class TestVoteRange:
+    """``QuantSpec.qmax`` is the vote range and ``vote_input`` the vote."""
+
+    @pytest.mark.parametrize("bits", [0, 33])
+    def test_bits_outside_1_to_32_rejected(self, bits):
+        with pytest.raises(ConfigError, match="1..32"):
+            QuantSpec(bits=bits)
+
+    def test_qmax_is_one_for_signs(self):
+        assert [QuantSpec(bits=b).qmax for b in (1, 2, 3, 8, 32)] == [
+            1, 1, 3, 127, 2 ** 31 - 1]
+
+    def test_one_bit_spec_is_not_quantized(self):
+        with pytest.raises(ConfigError, match="1-bit"):
+            quantize(np.array([3.0, -1.0, 0.5, 0.0]), QuantSpec(bits=1))
+
+    @pytest.mark.parametrize("iteration", [1, 2])
+    def test_vote_input_of_each_kind_of_spec(self, iteration):
+        x = np.array([3.0, -1.0, 0.5, 0.0])
+        policy = SignPolicy("alternating", iteration)
+        assert vote_input(x, None, policy) is x
+        assert np.array_equal(vote_input(x, QuantSpec(bits=1), policy),
+                              apply_sign(x, policy))
+        spec = QuantSpec(bits=4, norm_p=INF, rounding="stochastic")
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(vote_input(x, spec, policy, a),
+                              quantize(x, spec, rng=b))
+
 
 def _int64_quantize(x, spec, rng=None):
     """The quantizer as it stood with int64 output: round (or sround),
@@ -152,7 +192,7 @@ class TestNarrowQuantize:
     """``quantize`` clamps before rounding and returns a narrow dtype."""
 
     @pytest.mark.parametrize("bits,dtype", [
-        (1, np.int8), (2, np.int8), (8, np.int8), (9, np.int16),
+        (2, np.int8), (8, np.int8), (9, np.int16),
         (16, np.int16), (17, np.int32), (32, np.int32)])
     def test_narrowest_dtype_that_holds_qmax(self, bits, dtype):
         x = np.array([3.0, -1.0, 0.5, 0.0])

@@ -10,9 +10,11 @@ fresh interpreter that pins itself to one core with
 times the six collectives in-process at P=``--world`` (threads on one
 ``InprocTransport``): the four votes ``ps``, ``ps_efficient``, ``direct``
 and ``compressed1bit``, called through ``optimizer.VOTE_ALGOS`` with
-``QuantSpec(bits=--bits)`` (integers in [-qmax, qmax], signs for
-``--bits 1``; real vectors for the 1-bit vote), so both sides are called
-the same way whatever their collectives' signatures; then
+``QuantSpec(bits=--bits)`` (integers in [-qmax, qmax] of the side's own
+spec, in the narrowest lane that holds them; a tree whose 1-bit ``qmax``
+reads 0 draws zeros, which ride the same lanes as signs; real vectors for
+the 1-bit vote), so both sides are called the same way whatever their
+collectives' signatures; then
 ``allreduce_mean_f32`` and ``allgather_f64``.  A side's figure for a
 collective and N is the median of rank 0's per-call wall time over its
 repetitions.  The defaults, P=4 and 8-bit values, run the 8- and 16-bit
@@ -61,7 +63,7 @@ def worker(src: str, sizes: list[int], world: int, bits: int) -> dict:
                          f"not from {src}")
     policy = SignPolicy("alternating", iteration=1)
     spec = QuantSpec(bits=bits)
-    q_max = 1 if bits == 1 else spec.qmax
+    own_lane = coll.LANE_DTYPES[coll.choose_lane_bits(1, spec.qmax)]
 
     def vote(name, real):
         return lambda x, q, topo: VOTE_ALGOS[name](x if real else q, topo,
@@ -76,8 +78,7 @@ def worker(src: str, sizes: list[int], world: int, bits: int) -> dict:
     for n in sizes:
         rng = np.random.default_rng(n)
         xs = [rng.normal(size=n) for _ in range(world)]
-        qs = [rng.integers(-q_max, q_max + 1, size=n)
-              .astype(np.int8 if bits <= 8 else np.int16)
+        qs = [rng.integers(-spec.qmax, spec.qmax + 1, size=n).astype(own_lane)
               for _ in range(world)]
         reps = reps_for(n)
         for name in COLLECTIVES:

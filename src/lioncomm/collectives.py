@@ -20,11 +20,15 @@ carries: ``choose_lane_bits(k, q_max)`` for the sum of k ranks' values
 (k=1 for a rank's own values, the subtree size for a tree's partial sum, P
 for a total), down to 2- and 4-bit ``quant.pack_ints`` fields; ``ps``
 sends and returns a full-precision (float) vote as float64 words.  Every
-frame is bare: little-endian lane or float words, packed fields, or
-``quant.pack`` sign bits (the 1-bit stage-2 frame puts a 4-byte tie count
-in front).  Every rooted phase is one walk of one tree (``_tree``:
-``_reduce`` up, ``_broadcast`` down), every all-to-all and allgather phase
-is one loop, ``_exchange``, and input checks run before the first send.
+frame is bare and built by one constructor, ``_frame``: little-endian lane
+or float words, packed fields, or ``quant.pack`` sign bits (the 1-bit
+stage-2 frame puts a 4-byte tie count in front).  Every rooted phase is one
+walk of one tree (``_tree``: ``_reduce`` up, ``_broadcast`` down), every
+all-to-all and allgather phase is one loop, ``_exchange``, and input checks
+run before the first send.  ``direct`` and the 1-bit vote run one
+reduce-scatter/allgather, ``_chunked``, and differ only in the frame each
+phase sends and in how a rank combines the P copies of its chunk: a sum in
+the sum lane, or a majority sign and its tie count.
 ``Topology.recv`` is the one lockstep check: a frame of the wrong
 generation, tag or byte length raises ``CollectiveError`` naming the
 sender, generation and phase, and a peer that never sends raises one after
@@ -38,7 +42,6 @@ parameter hash check still catches ranks that end up different.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,26 +109,39 @@ class VoteResult:
     ties: int = 0
 
 
-@functools.lru_cache(maxsize=None)
-def _codec(dtype):
-    """(encode, decode) of a vector as little-endian ``dtype`` bytes.  decode
-    returns a writable array, copying only a read-only payload (in-process
-    bytes) or a foreign byte order: socket payloads are the receiver's own."""
-    wire = np.dtype(dtype).newbyteorder("<")
+def _frame(kind, count: int):
+    """(encode, decode, size) of a frame of ``count`` values: sign bits
+    (``quant.pack``) for kind 1, signed ``kind``-bit lane integers for kind
+    2 to 32 (``quant.pack_ints`` fields below 8 bits, little-endian lane
+    words from 8 up), little-endian words for a float dtype kind.  Word
+    frames decode to a writable array, copying only a read-only payload
+    (in-process bytes) or a foreign byte order: socket payloads are the
+    receiver's own.  ``pack`` and ``unpack`` are looked up in this module
+    at each call, so a wrapper installed on it sees every one."""
+    if kind == 1:
+        return (lambda a: pack(a), lambda b: unpack(b, count),
+                (count + 7) // 8)
+    if kind in (2, 4):
+        return (lambda a: pack_ints(a, kind),
+                lambda b: unpack_ints(b, count, kind), (count * kind + 7) // 8)
+    dtype = np.dtype(LANE_DTYPES.get(kind, kind))
+    wire = dtype.newbyteorder("<")
 
     def decode(b):
         view = np.frombuffer(b, dtype=wire)
         return view.astype(dtype, copy=not view.flags.writeable)
 
-    return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(), decode)
+    return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(), decode,
+            count * dtype.itemsize)
 
 
-def _exchange(topo: Topology, tag: int, gen: int, payloads, size: int,
-              decode, own) -> list:
+def _exchange(topo: Topology, tag: int, gen: int, payloads, frame,
+              own) -> list:
     """Send ``payloads[j]`` to every rank j but this one and receive one
-    ``size``-byte frame from each in rank order.  Returns every rank's
-    value in rank order: ``own`` in this rank's slot, the others decoded
-    once all frames are in."""
+    ``frame`` = (encode, decode, size) from each in rank order.  Returns
+    every rank's value in rank order: ``own`` in this rank's slot, the
+    others decoded once all frames are in."""
+    _, decode, size = frame
     peers = [j for j in range(topo.world_size) if j != topo.rank]
     for j in peers:
         topo.send(j, tag, payloads[j], gen)
@@ -133,6 +149,29 @@ def _exchange(topo: Topology, tag: int, gen: int, payloads, size: int,
     values = [decode(b) for b in got]
     values.insert(topo.rank, own)
     return values
+
+
+def _chunked(vec: np.ndarray, topo: Topology, fill, first, combine,
+             second) -> list:
+    """Reduce-scatter, then allgather: ``vec`` is padded with ``fill`` to P
+    chunks of c values, rank j receives chunk j of every rank in the frame
+    ``first(c)`` and ``combine``s the P chunks (a list in rank order, its
+    own in its slot) into one value, and every rank receives each rank's
+    combined value in the frame ``second(c)``.  Returns the P combined
+    values in rank order."""
+    p, r = topo.world_size, topo.rank
+    c = -(-vec.size // p)  # ceil
+    chunks = np.full((p, c), fill, dtype=vec.dtype)
+    chunks.reshape(-1)[:vec.size] = vec
+    gen = topo.next_generation()
+    frame = first(c)
+    parts = _exchange(topo, TAG_ALLTOALL, gen,
+                      [None if j == r else frame[0](chunks[j])
+                       for j in range(p)], frame, chunks[r])
+    mine = combine(parts)
+    frame = second(c)
+    return _exchange(topo, TAG_ALLGATHER, gen, [frame[0](mine)] * p, frame,
+                     mine)
 
 
 def _tree(rank: int, p: int, binomial: bool):
@@ -208,17 +247,6 @@ def _lane(q: np.ndarray, workers: int, q_max: int | None,
     return lane_bits
 
 
-def _lane_frames(bits: int, count: int):
-    """(encode, decode, size) of a frame of ``count`` integers in the signed
-    ``bits``-wide lane: ``quant.pack_ints`` fields below 8 bits, little-endian
-    lane words from 8 bits up."""
-    if bits < 8:
-        return (lambda a: pack_ints(a, bits),
-                lambda b: unpack_ints(b, count, bits), (count * bits + 7) // 8)
-    encode, decode = _codec(LANE_DTYPES[bits])
-    return encode, decode, count * bits // 8
-
-
 def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
                         efficient: bool = False) -> VoteResult:
     """Sum all workers' vectors at rank 0 and hand the sum back to everyone.
@@ -240,12 +268,12 @@ def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
     if vec.dtype.kind == "f":
         if q_max is not None:
             raise ConfigError(f"a float vote takes no q_max, got {q_max}")
-        words = (*_codec(np.float64), 8 * vec.size)
+        words = _frame(np.float64, vec.size)
         dtype, extra = np.float64, TAG_FLOAT_WORDS
         frames = lambda k: words
     else:
         dtype, extra = LANE_DTYPES[_lane(vec, p, q_max)], 0
-        frames = lambda k: _lane_frames(choose_lane_bits(k, q_max), vec.size)
+        frames = lambda k: _frame(choose_lane_bits(k, q_max), vec.size)
     gen = topo.next_generation()
     total = _reduce(vec, topo, gen, (TAG_REDUCE if efficient else TAG_GATHER)
                     + extra, frames, dtype, efficient)
@@ -264,34 +292,25 @@ def direct_allreduce(q_i, topo: Topology, q_max: int | None,
     and come back in its dtype; the dtype, range and capacity checks run in
     the input's own dtype, before any communication.  A reduce-scatter
     chunk carries one rank's own values and travels in
-    ``choose_lane_bits(1, q_max)``; a summed chunk travels in the sum lane.  ``q_max`` must be the declared range of
-    the quantizer, identical at every rank.
+    ``choose_lane_bits(1, q_max)``; a summed chunk travels in the sum lane.
+    ``q_max`` must be the declared range of the quantizer, identical at
+    every rank.
     """
-    p = topo.world_size
     q = np.asarray(q_i).ravel()
-    sum_bits = _lane(q, p, q_max, lane_bits)
+    sum_bits = _lane(q, topo.world_size, q_max, lane_bits)
     own_bits = choose_lane_bits(1, q_max)
-    n = q.size
-    chunk = -(-n // p)  # ceil
-    padded = np.zeros(chunk * p, dtype=LANE_DTYPES[own_bits])
-    padded[:n] = q
-    chunks = [padded[i * chunk:(i + 1) * chunk] for i in range(p)]
 
-    gen = topo.next_generation()
-    r = topo.rank
-    # Reduce-scatter: rank j sums the P copies of chunk j in the sum lane;
-    # overflow is ruled out by the capacity check above.
-    encode, decode, size = _lane_frames(own_bits, chunk)
-    parts = _exchange(topo, TAG_ALLTOALL, gen,
-                      [None if j == r else encode(c)
-                       for j, c in enumerate(chunks)], size, decode, chunks[r])
-    reduced = parts.pop(r).astype(LANE_DTYPES[sum_bits])
-    for part in parts:
-        reduced += part
-    encode, decode, size = _lane_frames(sum_bits, chunk)
-    full = _exchange(topo, TAG_ALLGATHER, gen, [encode(reduced)] * p, size,
-                     decode, reduced)
-    summed = np.concatenate(full)[:n]
+    def combine(parts):
+        # Overflow is ruled out by the capacity check above.
+        total = parts.pop().astype(LANE_DTYPES[sum_bits])
+        for part in parts:
+            total += part
+        return total
+
+    summed = np.concatenate(_chunked(
+        q.astype(LANE_DTYPES[own_bits], copy=False), topo, 0,
+        lambda c: _frame(own_bits, c), combine,
+        lambda c: _frame(sum_bits, c)))[:q.size]
     return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
 
 
@@ -303,47 +322,33 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     policy), split into P chunks, and the i-th chunk of every rank lands
     at rank i packed to 1 bit.  Rank i sums the P sign chunks, takes the
     majority sign (ties again resolved by the policy), and an allgather
-    of the recompressed chunks gives every rank the full +-1 vote, as
-    int8.  A bit carries no zero, so only the ``alternating`` policy is
-    accepted; any other raises ``ConfigError`` before anything is sent.
+    of the recompressed chunks, each after its tie count, gives every rank
+    the full +-1 vote, as int8.  A bit carries no zero, so only the
+    ``alternating`` policy is accepted; any other raises ``ConfigError``
+    before anything is sent.
     """
     if policy.mode != "alternating":
         raise ConfigError(f"1-bit path needs the alternating policy, not "
                           f"{policy.mode!r}: it cannot carry exact zeros")
-    x = np.asarray(c_i, dtype=np.float64).ravel()
-    s = apply_sign(x, policy)
-    p = topo.world_size
-    n = s.size
-    chunk = -(-n // p)
-    padded = np.ones(chunk * p, dtype=np.int8)  # pad with +1: never a tie
-    padded[:n] = s
+    s = apply_sign(np.asarray(c_i, dtype=np.float64).ravel(), policy)
+    sum_dtype = LANE_DTYPES[choose_lane_bits(topo.world_size, 1)]
 
-    gen = topo.next_generation()
-    r = topo.rank
+    def combine(parts):
+        chunk_sum = np.sum(np.stack(parts), axis=0, dtype=sum_dtype)
+        ties = int(np.count_nonzero(chunk_sum == 0))
+        return ties, apply_sign(chunk_sum, policy)
 
-    # Stage 1: pairwise-exchange all-to-all of 1-bit chunks.
-    size = (chunk + 7) // 8
-    mine = [padded[j * chunk:(j + 1) * chunk] for j in range(p)]
-    received = _exchange(
-        topo, TAG_ALLTOALL, gen,
-        [None if j == r else pack(m) for j, m in enumerate(mine)], size,
-        lambda b: unpack(b, chunk), mine[r])
+    def voted(c):
+        # A <u4 tie count, then the voted chunk's sign bits.
+        encode, decode, size = _frame(1, c)
+        return (lambda tv: tv[0].to_bytes(4, "little") + encode(tv[1]),
+                lambda b: (int.from_bytes(b[:4], "little"), decode(b[4:])),
+                4 + size)
 
-    chunk_sum = np.sum(np.stack(received), axis=0,
-                       dtype=LANE_DTYPES[choose_lane_bits(p, 1)])
-    local_ties = int(np.count_nonzero(chunk_sum == 0))
-    voted = apply_sign(chunk_sum, policy)
-
-    # Stage 2: allgather of the voted chunks plus each chunk's tie count.
-    my_payload = local_ties.to_bytes(4, "little") + pack(voted)
-    gathered = _exchange(
-        topo, TAG_ALLGATHER, gen, [my_payload] * p, 4 + size,
-        lambda b: (int.from_bytes(b[:4], "little"), unpack(b[4:], chunk)),
-        (local_ties, voted))
-
-    total_ties = sum(t for t, _ in gathered)
-    full = np.concatenate([v for _, v in gathered])[:n]
-    return VoteResult(values=full, ties=total_ties)
+    # Pad with +1: a padded column is never a tie.
+    ties, signs = zip(*_chunked(s, topo, 1, lambda c: _frame(1, c), combine,
+                                voted))
+    return VoteResult(values=np.concatenate(signs)[:s.size], ties=sum(ties))
 
 
 def majority_sign(agg, policy: SignPolicy) -> np.ndarray:
@@ -361,7 +366,7 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
     hands every rank the same bits.
     """
     vec = np.asarray(x, dtype=np.float32).ravel()
-    frame = (*_codec(np.float32), vec.nbytes)
+    frame = _frame(np.float32, vec.size)
     gen = topo.next_generation()
     acc = _reduce(vec, topo, gen, TAG_REDUCE, lambda k: frame, np.float64,
                   binomial=False)
@@ -372,9 +377,9 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
 def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
     """Every rank returns [x_0, ..., x_{P-1}] in rank order."""
     vec = np.asarray(x, dtype=np.float64).ravel()
-    encode, decode = _codec(np.float64)
+    frame = _frame(np.float64, vec.size)
     return _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
-                     [encode(vec)] * topo.world_size, vec.nbytes, decode, vec)
+                     [frame[0](vec)] * topo.world_size, frame, vec)
 
 
 def run_ranks(world_size: int, fn, transport: Transport | None = None,
@@ -388,6 +393,8 @@ def run_ranks(world_size: int, fn, transport: Transport | None = None,
     """
     import threading
 
+    if world_size < 1:
+        raise ConfigError("world_size must be >= 1")
     if transport is None and transport_factory is None:
         transport = InprocTransport(world_size)
     results = [None] * world_size

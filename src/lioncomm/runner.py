@@ -16,6 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -89,8 +90,12 @@ class RunConfig:
                 unknown = sorted(sync.layers - set(model.layer_sizes))
                 if unknown:
                     raise ConfigError(f"sync.layers names no layer: {unknown}")
+            seed = cfg["seed"]
+            if not isinstance(seed, Integral) or seed < 0:
+                raise ConfigError(
+                    f"seed must be an integer >= 0, got {seed!r}")
             noise_doc = dict(cfg["noise"])
-            noise_doc.setdefault("per_client_seed", cfg["seed"] + 1000)
+            noise_doc.setdefault("per_client_seed", seed + 1000)
             noise = NoiseSpec(**noise_doc)
             steps = int(tr["steps"])
             if steps < 1:
@@ -101,9 +106,12 @@ class RunConfig:
             metrics_every = int(cfg["metrics_every"])
             if metrics_every < 1:
                 raise ConfigError("metrics_every must be >= 1")
+            clients = int(tr["clients"])
+            if clients < 1:
+                raise ConfigError("clients must be >= 1")
             return cls(model=model, steps=steps, batch_size=batch_size,
-                       clients=int(tr["clients"]), hyper=hyper, quant=quant,
-                       algo=algo, sync=sync, noise=noise, seed=int(cfg["seed"]),
+                       clients=clients, hyper=hyper, quant=quant,
+                       algo=algo, sync=sync, noise=noise, seed=int(seed),
                        metrics_every=metrics_every, raw=cfg)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid run config: {exc}") from exc

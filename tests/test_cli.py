@@ -64,6 +64,24 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfgp,
                          "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"], "clients": 0}},
+        {**SMALL_TRAIN, "seed": -1},
+        {**SMALL_TRAIN, "noise": {**SMALL_TRAIN["noise"],
+                                  "per_client_seed": -5}},
+        {**SMALL_TRAIN, "noise": {**SMALL_TRAIN["noise"],
+                                  "per_client_seed": 1.5}},
+        {**SMALL_TRAIN, "model": {"hidden": 2.5}},
+    ], ids=["clients-0", "seed-negative", "per-client-seed-negative",
+            "per-client-seed-fractional", "hidden-fractional"])
+    def test_bad_config_exits_2_before_any_rank_starts(self, tmp_path, doc):
+        cfgp = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", cfgp, "--out", str(out),
+                         "--transport", "socket",
+                         "--port", str(free_base_port(world=2))]) == 2
+        assert not out.exists()
+
     def test_bad_quant_kind_exits_2(self, tmp_path):
         cfgp = write_config(tmp_path, {"quant": {"kind": "fft"}})
         assert cli.main(["train", "--config", cfgp,

@@ -554,6 +554,13 @@ class TestRobustness:
             run_ranks(2, lambda topo: "ok", transport_factory=factory)
         assert built == []
 
+    @pytest.mark.parametrize("world", [0, -1])
+    def test_per_rank_transports_need_a_rank(self, world):
+        # The shared in-process transport rejects such a world itself.
+        with pytest.raises(ConfigError, match="world_size must be >= 1"):
+            run_ranks(world, lambda topo: "ok",
+                      transport_factory=lambda r: InprocTransport(1))
+
     def test_repeat_runs_are_deterministic(self):
         vecs = make_vectors(4, 77, seed=21)
 
@@ -609,6 +616,47 @@ class TestSocketTransportParity:
             assert np.array_equal(values, sum_oracle(signs))
         assert all(np.array_equal(x, y)
                    for x, y in zip(run_vote(2, fn), socketed))
+
+
+# The six collectives on an empty vector: every chunk of the two chunked
+# votes is empty, and every frame but the 1-bit tie count is zero bytes.
+EMPTY_CALLS = {
+    "ps": lambda topo: ps_gather_broadcast(
+        np.zeros(0, dtype=np.int8), topo, q_max=1).values,
+    "ps_efficient": lambda topo: ps_gather_broadcast(
+        np.zeros(0, dtype=np.int8), topo, q_max=1, efficient=True).values,
+    "direct": lambda topo: direct_allreduce(
+        np.zeros(0, dtype=np.int8), topo, q_max=1).values,
+    "compressed1bit": lambda topo: compressed_allreduce_1bit(
+        np.zeros(0), topo, SignPolicy("alternating", iteration=1)).values,
+    "allreduce_mean_f32": lambda topo: allreduce_mean_f32(np.zeros(0), topo),
+    "allgather_f64": lambda topo: allgather_f64(np.zeros(0), topo),
+}
+
+
+def assert_empty_results(algo, world, results):
+    assert len(results) == world
+    for got in results:
+        if algo == "allgather_f64":
+            assert len(got) == world
+            assert all(part.shape == (0,) for part in got)
+        else:
+            assert got.shape == (0,)
+
+
+class TestEmptyVectors:
+    @pytest.mark.parametrize("world", [1, 2, 3])
+    @pytest.mark.parametrize("algo", sorted(EMPTY_CALLS))
+    def test_inproc(self, algo, world):
+        assert_empty_results(algo, world, run_vote(world, EMPTY_CALLS[algo]))
+
+    @pytest.mark.parametrize("algo", sorted(EMPTY_CALLS))
+    def test_over_sockets(self, algo):
+        port = free_base_port(world=2)
+        results = run_ranks(
+            2, EMPTY_CALLS[algo], transport_factory=lambda r: SocketTransport(
+                2, r, host="127.0.0.1", base_port=port))
+        assert_empty_results(algo, 2, results)
 
 
 class TestMajoritySign:

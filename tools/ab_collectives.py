@@ -11,15 +11,14 @@ times the six collectives in-process at P=``--world`` (threads on one
 ``InprocTransport``): the four votes ``ps``, ``ps_efficient``, ``direct``
 and ``compressed1bit``, called through ``optimizer.VOTE_ALGOS`` with
 ``QuantSpec(bits=--bits)`` (integers in [-qmax, qmax] of the side's own
-spec, in the narrowest lane that holds them; a tree whose 1-bit ``qmax``
-reads 0 draws zeros, which ride the same lanes as signs; real vectors for
-the 1-bit vote), so both sides are called the same way whatever their
-collectives' signatures; then
-``allreduce_mean_f32`` and ``allgather_f64``.  A side's figure for a
-collective and N is the median of rank 0's per-call wall time over its
-repetitions.  The defaults, P=4 and 8-bit values, run the 8- and 16-bit
-lanes; ``--world 2 --bits 1`` is the shape of the benchmark's ``wire``
-workload, whose sign votes ride the 2- and 4-bit lanes.
+spec, in the narrowest lane that holds them; real vectors for the 1-bit
+vote), so both sides are called the same way whatever their
+collectives' signatures; then ``allreduce_mean_f32`` and
+``allgather_f64``.  A side's figure for a collective and N is the median
+of rank 0's per-call wall time over its repetitions.  The defaults, P=4
+and 8-bit values, run the 8- and 16-bit lanes; ``--world 2 --bits 1`` is
+the shape of the benchmark's ``wire`` workload, whose sign votes ride the
+2- and 4-bit lanes.
 
 The table gives, per collective and N, the median over pairs of each
 side's figure in microseconds, the parent's quartiles over pairs, the

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-setting check
+that raises one."""
+
+from numbers import Integral
 
 
 class LionCommError(Exception):
@@ -7,6 +10,16 @@ class LionCommError(Exception):
 
 class ConfigError(LionCommError):
     """Invalid configuration: bad hyperparameters, bitwidths, run configs."""
+
+
+def check_int(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an int if it is an integer in [least, most]; a bool or a
+    fraction (2.5 clients, 8.5 bits) is a ``ConfigError``, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < least or (most is not None and value > most)):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 class CapacityError(ConfigError):

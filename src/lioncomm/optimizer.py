@@ -5,6 +5,13 @@ names to flat float64 vectors.  Each rank owns one ``WorkerState``;
 distributed steps interact only through the collectives module, and the
 parameter vector stays bit-identical across ranks because every rank
 applies the same aggregated sign.
+
+``distributed_lion_step`` makes c and the new momentum in one blocked pass
+over each layer and the new parameters in another after the vote
+(``quant.blocks``; one block for a layer of at most ``quant.BLOCK``
+elements).  Each block applies ``lion_step``'s operations in its order, so
+the bits equal those of the whole-array formulas; the input state is never
+written.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ import numpy as np
 
 from . import collectives as coll
 from .collectives import Topology, VoteResult
-from .errors import ConfigError
-from .quant import QuantSpec, SignPolicy, vote_input
+from .errors import ConfigError, check_int
+from .quant import BLOCK, QuantSpec, SignPolicy, blocks, vote_input
 
 ParamSet = dict[str, np.ndarray]
 
@@ -80,8 +87,7 @@ class SyncPolicy:
     layers: Union[str, frozenset] = "all"
 
     def __post_init__(self):
-        if self.period < 0:
-            raise ConfigError("period must be >= 0")
+        check_int("period", self.period, 0)
         if isinstance(self.layers, str):
             if self.layers not in ("all", "none"):
                 raise ConfigError('layers must be "all", "none", or a set of names')
@@ -150,8 +156,11 @@ def _fuse(parts: list[np.ndarray]) -> np.ndarray:
 
 def _split(bucket: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
     """Per-layer views of a bucket, at the offsets ``_fuse`` laid out."""
-    bounds = np.cumsum([0] + [p.size for p in parts])
-    return [bucket[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    views, lo = [], 0
+    for p in parts:
+        views.append(bucket[lo:lo + p.size])
+        lo += p.size
+    return views
 
 
 def _vote(cs: list[np.ndarray], spec: QuantSpec | None, topo: Topology,
@@ -176,6 +185,38 @@ def _vote(cs: list[np.ndarray], spec: QuantSpec | None, topo: Topology,
     return _split(sign, cs), vote
 
 
+def _moments(m: np.ndarray, g: np.ndarray, h: LionHyper,
+             scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c = beta1*m + (1-beta1)*g and the new momentum beta2*m + (1-beta2)*g
+    in fresh arrays, block by block, with ``scratch`` (one block long)
+    holding (1-beta)*g: the bits of ``lion_step``'s two formulas."""
+    dtype = np.result_type(h.beta1, m)
+    c, new_m = np.empty(m.shape, dtype), np.empty(m.shape, dtype)
+    for s in blocks(m.size):
+        ms, gs, cs, ns = m[s], g[s], c[s], new_m[s]
+        w = scratch[:ms.size]
+        np.multiply(h.beta1, ms, out=cs)
+        np.multiply(1.0 - h.beta1, gs, out=w)
+        cs += w
+        np.multiply(h.beta2, ms, out=ns)
+        np.multiply(1.0 - h.beta2, gs, out=w)
+        ns += w
+    return c, new_m
+
+
+def _descend(theta: np.ndarray, sign: np.ndarray, h: LionHyper) -> np.ndarray:
+    """theta - lr*(sign + wd*theta) in a fresh array, block by block, in
+    ``lion_step``'s order of operations."""
+    out = np.empty(theta.shape, np.result_type(h.weight_decay, theta))
+    for s in blocks(theta.size):
+        o, th = out[s], theta[s]
+        np.multiply(h.weight_decay, th, out=o)
+        o += sign[s]
+        o *= h.lr
+        np.subtract(th, o, out=o)
+    return out
+
+
 def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
                           spec: QuantSpec | None, topo: Topology, algo: str,
                           zero_mode: str = "alternating",
@@ -198,27 +239,17 @@ def distributed_lion_step(state: WorkerState, grad_i: ParamSet, h: LionHyper,
     """
     _check_shapes(state.params, grad_i)
     t = state.iteration + 1
-    eta = h.lr
     policy = SignPolicy(mode=zero_mode, iteration=t)
     names = sorted(state.params)
-    cs = []
-    # In-place steps on fresh arrays: the same operations in the same order
-    # as ``lion_step``'s formulas, so the same bits, with fewer temporaries.
+    scratch = np.empty(min(BLOCK, max(state.params[n].size for n in names)))
+    cs, new_mom = [], {}
     for name in names:
-        c = np.multiply(h.beta1, state.momentum[name])
-        c += (1.0 - h.beta1) * grad_i[name]
+        c, new_mom[name] = _moments(state.momentum[name], grad_i[name], h,
+                                    scratch)
         cs.append(c)
     signs, vote = _vote(cs, spec, topo, algo, policy, rng, timing=metrics_out)
-    new_params: ParamSet = {}
-    new_mom: ParamSet = {}
-    for name, update_sign in zip(names, signs):
-        theta, m = state.params[name], state.momentum[name]
-        step = np.multiply(h.weight_decay, theta)
-        step += update_sign
-        step *= eta
-        new_params[name] = np.subtract(theta, step, out=step)
-        new_mom[name] = np.multiply(h.beta2, m)
-        new_mom[name] += (1.0 - h.beta2) * grad_i[name]
+    new_params = {name: _descend(state.params[name], sign, h)
+                  for name, sign in zip(names, signs)}
     if metrics_out is not None:
         metrics_out["ties"] = vote.ties
         metrics_out["vote_sign"] = dict(zip(names, signs))

@@ -17,19 +17,34 @@ header: the receiver knows the count, ``unpack`` rejects a payload that is
 not ceil(count/8) bytes (``unpack_ints``: ceil(count*bits/8)), and
 ``Topology.recv`` rejects a frame of the wrong length first.  Two counts
 that pack to the same number of bytes are not told apart.
+
+The elementwise chains of a step run in blocks of ``BLOCK`` elements
+(``blocks(n)``): ``sround`` here and the Lion arithmetic in ``optimizer``.
+A block's operands stay in cache across the numpy calls applied to them,
+and no full-length temporary is made per operation.  Each block applies
+the whole-array formula's operations in its order, and ``sround`` draws in
+element order, so the results and the generator's state are bit for bit
+those of the whole-array formulas.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, PackFormatError, PackRangeError
+from .errors import (CapacityError, ConfigError, PackFormatError,
+                     PackRangeError, check_int)
 
 # Sentinel accepted for QuantSpec.norm_p alongside float("inf").
 INF = float("inf")
+
+# Elements per block of the blocked kernels: 2^15 float64 values are
+# 256 KiB.  Of 2^14 to 2^17, 2^15 gave the least CPU time per step of a
+# 1,000,003-element layer at P=4 on a 2-core Xeon with 2 MiB of L2 a core.
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -50,8 +65,7 @@ class QuantSpec:
     no_zero: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 32:
-            raise ConfigError(f"bits must be in 1..32, got {self.bits}")
+        check_int("bits", self.bits, 1, 32)
         if not (self.norm_p == 0 or self.norm_p > 0):
             raise ConfigError(f"norm_p must be 0, positive, or inf: {self.norm_p}")
         if self.rounding not in ("nearest", "stochastic"):
@@ -109,7 +123,16 @@ def lp_mean_norm(x: np.ndarray, p: float) -> float:
     m = a.max()
     if m == 0:
         return 0.0
-    return float(m * np.mean((a / m) ** p) ** (1.0 / p))
+    # The sum and division ``np.mean`` makes, without its Python wrapper.
+    return float(m * (np.add.reduce((a / m) ** p) / a.size) ** (1.0 / p))
+
+
+@functools.lru_cache(maxsize=256)
+def blocks(n: int) -> tuple[slice, ...]:
+    """Slices that cover ``range(n)`` in order, ``BLOCK`` elements each but
+    the last: one slice for n <= ``BLOCK``, none for n = 0.  Cached, since
+    a run asks for the same few layer sizes at every step."""
+    return tuple(slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK))
 
 
 def sround(v: Union[float, np.ndarray], rng: np.random.Generator,
@@ -117,15 +140,24 @@ def sround(v: Union[float, np.ndarray], rng: np.random.Generator,
     """Stochastic rounding, unbiased in expectation.
 
     Rounds down with probability ceil(v) - v, up otherwise, elementwise, to
-    integers of ``dtype``, which must hold floor(v) and ceil(v).
+    integers of ``dtype``, which must hold floor(v) and ceil(v).  Runs block
+    by block in C order with ``rng.random(out=...)``, so it draws the numbers
+    one ``rng.random(v.shape)`` call would and leaves ``rng`` in its state.
     """
     v = np.asarray(v, dtype=np.float64)
-    lo = np.floor(v)
-    frac = v - lo
-    up = rng.random(v.shape) < frac
-    q = lo.astype(dtype)
-    q += up
-    return q
+    flat = v.reshape(-1)
+    q = np.empty(flat.size, dtype)
+    lo = np.empty(min(BLOCK, flat.size))
+    draw = np.empty_like(lo)
+    for s in blocks(flat.size):
+        x, qs = flat[s], q[s]
+        f, u = lo[:x.size], draw[:x.size]
+        np.floor(x, out=f)
+        qs[...] = f
+        np.subtract(x, f, out=f)
+        rng.random(out=u)
+        qs += u < f
+    return q.reshape(v.shape)
 
 
 def _log_map(x: np.ndarray, s: float) -> np.ndarray:
@@ -148,9 +180,10 @@ def quantize(x: np.ndarray, spec: QuantSpec,
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ConfigError("quantize of an empty vector")
-    finite = np.isfinite(x)
-    if not finite.all():
-        bad = x.size - np.count_nonzero(finite)
+    # A NaN or an infinity reaches the minimum or the maximum.
+    lo, hi = x.min(), x.max()
+    if not -INF < lo <= hi < INF:
+        bad = x.size - np.count_nonzero(np.isfinite(x))
         raise ConfigError(f"cannot quantize {bad} non-finite entries")
     qmax = spec.qmax
     dtype = LANE_DTYPES[choose_lane_bits(1, qmax)]
@@ -161,7 +194,10 @@ def quantize(x: np.ndarray, spec: QuantSpec,
         if log_scale > 0:
             y = _log_map(x, log_scale)
 
-    m = lp_mean_norm(y, spec.norm_p)
+    if y is x and spec.norm_p == INF:
+        m = float(max(-lo, hi))         # max |x|, with no |x| temporary
+    else:
+        m = lp_mean_norm(y, spec.norm_p)
     if m == 0:
         q = np.zeros(x.shape, dtype=dtype)
     else:

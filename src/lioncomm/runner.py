@@ -16,13 +16,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from . import collectives as coll
 from .collectives import Topology, run_ranks
-from .errors import CollectiveError, ConfigError
+from .errors import CollectiveError, ConfigError, check_int
 from .optimizer import (VOTE_ALGOS, LionHyper, SyncPolicy, WorkerState,
                         distributed_lion_step, hash_params,
                         maybe_sync_momentum, momentum_divergence)
@@ -90,29 +89,18 @@ class RunConfig:
                 unknown = sorted(sync.layers - set(model.layer_sizes))
                 if unknown:
                     raise ConfigError(f"sync.layers names no layer: {unknown}")
-            seed = cfg["seed"]
-            if not isinstance(seed, Integral) or seed < 0:
-                raise ConfigError(
-                    f"seed must be an integer >= 0, got {seed!r}")
+            seed = check_int("seed", cfg["seed"], 0)
             noise_doc = dict(cfg["noise"])
             noise_doc.setdefault("per_client_seed", seed + 1000)
             noise = NoiseSpec(**noise_doc)
-            steps = int(tr["steps"])
-            if steps < 1:
-                raise ConfigError("steps must be >= 1")
-            batch_size = int(tr["batch_size"])
-            if batch_size < 1:
-                raise ConfigError("batch_size must be >= 1")
-            metrics_every = int(cfg["metrics_every"])
-            if metrics_every < 1:
-                raise ConfigError("metrics_every must be >= 1")
-            clients = int(tr["clients"])
-            if clients < 1:
-                raise ConfigError("clients must be >= 1")
-            return cls(model=model, steps=steps, batch_size=batch_size,
-                       clients=clients, hyper=hyper, quant=quant,
-                       algo=algo, sync=sync, noise=noise, seed=int(seed),
-                       metrics_every=metrics_every, raw=cfg)
+            return cls(model=model, steps=check_int("steps", tr["steps"], 1),
+                       batch_size=check_int("batch_size", tr["batch_size"], 1),
+                       clients=check_int("clients", tr["clients"], 1),
+                       hyper=hyper, quant=quant, algo=algo, sync=sync,
+                       noise=noise, seed=seed,
+                       metrics_every=check_int("metrics_every",
+                                               cfg["metrics_every"], 1),
+                       raw=cfg)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid run config: {exc}") from exc
 
@@ -131,7 +119,7 @@ def parse_quant(doc: dict) -> QuantSpec | None:
             raise ConfigError(f"bad norm_p {p!r}")
         p = INF
     return QuantSpec(
-        bits=int(doc.get("bits", 8)), norm_p=float(p),
+        bits=doc.get("bits", 8), norm_p=float(p),
         rounding=doc.get("rounding", "stochastic" if p == INF else "nearest"),
         log_transform=bool(doc.get("log_transform", False)),
         no_zero=bool(doc.get("no_zero", False)),
@@ -348,19 +336,18 @@ def quant_bench(updates: list[np.ndarray], bits: int, seed: int = 0,
 
 def run_quant_bench(doc: dict) -> list[dict]:
     try:
-        d = int(doc.get("d", 100_000))
-        workers = int(doc.get("workers", 8))
-        if workers < 1:
-            raise ConfigError("quant-bench needs workers >= 1")
-        bits = int(doc.get("bits", 8))
-        seed = int(doc.get("seed", 0))
+        d = check_int("d", doc.get("d", 100_000), 1)
+        workers = check_int("workers", doc.get("workers", 8), 1)
+        bits = check_int("bits", doc.get("bits", 8), 1, 32)
+        seed = check_int("seed", doc.get("seed", 0), 0)
         dist = doc.get("dist", "laplace_with_outliers")
         variants = doc.get("variants", list(BENCH_VARIANTS))
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         updates = make_worker_updates(
             workers, d, dist, rng,
             common_weight=float(doc.get("common_weight", 1.0)),
-            outlier_count=int(doc.get("outlier_count", 4)),
+            outlier_count=check_int("outlier_count",
+                                    doc.get("outlier_count", 4), 0),
             outlier_ratio=float(doc.get("outlier_ratio", 1e3)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid quant-bench config: {exc}") from exc

@@ -10,11 +10,10 @@ quantizer benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .optimizer import ParamSet
 
 
@@ -32,10 +31,8 @@ class MlpModel:
     out_dim: int = 1
 
     def __post_init__(self):
-        dims = (self.in_dim, self.hidden, self.out_dim)
-        if not all(isinstance(d, Integral) for d in dims) or min(dims) < 1:
-            raise ConfigError(
-                f"model dimensions must be integers >= 1: {self}")
+        for name in ("in_dim", "hidden", "out_dim"):
+            check_int(name, getattr(self, name), 1)
 
     @property
     def layer_sizes(self) -> dict[str, int]:
@@ -119,10 +116,7 @@ class NoiseSpec:
             raise ConfigError(f"levy_alpha must be in (0, 2], got {self.levy_alpha}")
         if self.scale < 0:
             raise ConfigError("noise scale must be >= 0")
-        seed = self.per_client_seed
-        if not isinstance(seed, Integral) or seed < 0:
-            raise ConfigError(f"per_client_seed must be an integer >= 0, "
-                              f"got {seed!r}")
+        check_int("per_client_seed", self.per_client_seed, 0)
 
 
 def sample_alpha_stable(spec: NoiseSpec, count: int,

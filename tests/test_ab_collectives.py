@@ -35,3 +35,22 @@ def test_ab_harness_times_the_wire_shape():
     rows = [line.split() for line in lines[2:]]
     assert len(rows) == 6 and {r[1] for r in rows} == {"9"}
     assert all(float(r[2]) > 0 and float(r[4]) > 0 for r in rows)
+
+
+def test_ab_harness_times_whole_steps():
+    # --step: one distributed_lion_step per vote, scored by thread CPU time.
+    src = os.path.join(ROOT, "src")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_collectives.py"),
+         "--parent", src, "--change", src, "--n", "5", "--pairs", "1",
+         "--step"],
+        capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert "distributed_lion_step" in lines[0]
+    assert lines[1].split()[:3] == ["algo", "N", "parent_cpu_us"]
+    rows = [line.split() for line in lines[2:]]
+    assert [r[0] for r in rows] == ["ps", "ps_efficient", "direct",
+                                    "compressed1bit"]
+    for row in rows:
+        assert row[1] == "5" and row[6] in ("0/1", "1/1")
+        assert all(float(row[i]) > 0 for i in (2, 4, 7, 8))

@@ -49,6 +49,8 @@ class TestExitCodes:
         ("train", {**SMALL_TRAIN, "metrics_every": -1}),
         ("train", {**SMALL_TRAIN, "sync": {"period": 5, "layers": ["hed"]}}),
         ("quant-bench", {"workers": 0}),
+        ("quant-bench", {"workers": 2.5}),
+        ("quant-bench", {"bits": 8.5}),
         ("train", {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"],
                                             "batch_size": 0}}),
         ("train", {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"],
@@ -57,7 +59,9 @@ class TestExitCodes:
         ("train", {**SMALL_TRAIN, "model": {"in_dim": 0}}),
         ("train", {**SMALL_TRAIN, "model": {"out_dim": -2}}),
     ], ids=["unknown-algo", "metrics-every-0", "metrics-every-negative",
-            "unknown-sync-layer", "quant-bench-no-workers", "batch-size-0",
+            "unknown-sync-layer", "quant-bench-no-workers",
+            "quant-bench-fractional-workers", "quant-bench-fractional-bits",
+            "batch-size-0",
             "batch-size-negative", "hidden-0", "in-dim-0", "out-dim-negative"])
     def test_bad_config_exits_2(self, tmp_path, command, doc):
         cfgp = write_config(tmp_path, doc)
@@ -72,8 +76,10 @@ class TestExitCodes:
         {**SMALL_TRAIN, "noise": {**SMALL_TRAIN["noise"],
                                   "per_client_seed": 1.5}},
         {**SMALL_TRAIN, "model": {"hidden": 2.5}},
+        {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"], "clients": 2.5}},
     ], ids=["clients-0", "seed-negative", "per-client-seed-negative",
-            "per-client-seed-fractional", "hidden-fractional"])
+            "per-client-seed-fractional", "hidden-fractional",
+            "clients-fractional"])
     def test_bad_config_exits_2_before_any_rank_starts(self, tmp_path, doc):
         cfgp = write_config(tmp_path, doc)
         out = tmp_path / "out"

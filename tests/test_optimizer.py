@@ -9,7 +9,7 @@ from lioncomm.errors import (CapacityError, CollectiveError, ConfigError,
 from lioncomm.optimizer import (LionHyper, SyncPolicy, WorkerState,
                                 distributed_lion_step, hash_params, lion_step,
                                 maybe_sync_momentum, momentum_divergence)
-from lioncomm.quant import QuantSpec
+from lioncomm.quant import BLOCK, QuantSpec
 from lioncomm.transport import InprocTransport
 
 
@@ -244,6 +244,60 @@ class TestDistributedLionStep:
             distributed_lion_step(fresh_state({"w": np.zeros(2)}),
                                   {"w": np.ones(2)}, h, spec=spec,
                                   topo=topo, algo="direct")
+
+
+# Layer sizes on each side of the block edges, and two mixed layers.
+BLOCK_SHAPES = [{"w": 1}, {"w": BLOCK - 1}, {"w": BLOCK}, {"w": BLOCK + 1},
+                {"w": 3 * BLOCK + 5}, {"a": BLOCK + 1, "b": 3}]
+
+
+class TestBlockedStep:
+    """The blocked Lion arithmetic against the whole-array formulas.
+
+    Two ranks vote full-precision c through ``ps``, so the vote is
+    sign(c_0 + c_1) exactly and the oracle covers the whole step."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    @pytest.mark.parametrize("gdtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sizes", BLOCK_SHAPES,
+                             ids=lambda d: "+".join(map(str, d.values())))
+    def test_step_matches_whole_array_formulas(self, sizes, gdtype,
+                                               weight_decay):
+        h = LionHyper(beta1=0.9, beta2=0.99, lr=3e-4,
+                      weight_decay=weight_decay)
+        rng = np.random.default_rng(len(sizes) * 7 + sum(sizes.values()))
+        states = [WorkerState({k: rng.normal(size=n) for k, n in sizes.items()},
+                              {k: rng.laplace(size=n) for k, n in sizes.items()},
+                              iteration=4)
+                  for _ in range(2)]
+        grads = [{k: rng.laplace(size=n).astype(gdtype)
+                  for k, n in sizes.items()} for _ in range(2)]
+        before = [(hash_params(s.params), hash_params(s.momentum))
+                  for s in states]
+        new = run_vote(2, lambda topo: distributed_lion_step(
+            states[topo.rank], grads[topo.rank], h, spec=None, topo=topo,
+            algo="ps"))
+        assert [(hash_params(s.params), hash_params(s.momentum))
+                for s in states] == before       # inputs left untouched
+        for name in sizes:
+            cs = []
+            for s, g in zip(states, grads):
+                c = np.multiply(h.beta1, s.momentum[name])
+                c += (1.0 - h.beta1) * g[name]
+                cs.append(c)
+            total = cs[0] + cs[1]
+            # "alternating" fills ties with +1 at the odd iteration 5.
+            sign = np.where(total == 0, 1, np.sign(total))
+            for s, g, out in zip(states, grads, new):
+                theta, m = s.params[name], s.momentum[name]
+                step = np.multiply(h.weight_decay, theta)
+                step += sign
+                step *= h.lr
+                mom = np.multiply(h.beta2, m)
+                mom += (1.0 - h.beta2) * g[name]
+                assert out.params[name].tobytes() == (theta - step).tobytes()
+                assert out.momentum[name].tobytes() == mom.tobytes()
+                assert out.params[name].dtype == np.float64
 
 
 class TestMomentumSync:

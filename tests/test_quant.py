@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lioncomm.errors import ConfigError, PackFormatError, PackRangeError
-from lioncomm.quant import (INF, QuantSpec, SignPolicy, _log_map, apply_sign,
+from lioncomm.quant import (BLOCK, INF, QuantSpec, SignPolicy, _log_map, apply_sign,
                             lp_mean_norm, pack, pack_ints, quantize, sround,
                             unpack, unpack_ints, vote_input)
 
@@ -244,6 +244,57 @@ class TestSround:
         rng = np.random.default_rng(2)
         draws = sround(np.full(1000, -0.5), rng)
         assert set(np.unique(draws)) <= {-1, 0}
+
+
+class TestBlockedSround:
+    """``sround`` runs block by block; the whole-array formula is the
+    oracle, for its integers and for the draws it leaves in ``rng``."""
+
+    @staticmethod
+    def whole_array(v, rng, dtype):
+        lo = np.floor(v)
+        up = rng.random(v.shape) < v - lo
+        q = lo.astype(dtype)
+        q += up
+        return q
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 5])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_integers_and_stream_match_one_draw(self, n, dtype):
+        v = np.random.default_rng(n).uniform(-100, 100, size=n)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        got = sround(v, a, dtype)
+        want = self.whole_array(v, b, dtype)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 4), (2, BLOCK + 3)])
+    def test_any_shape(self, shape):
+        v = np.random.default_rng(1).uniform(-5, 5, size=shape)
+        a, b = np.random.default_rng(2), np.random.default_rng(2)
+        got = sround(v, a)
+        want = self.whole_array(v, b, np.int64)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert a.random() == b.random()
+
+
+class TestQuantizeNonFinite:
+    @pytest.mark.parametrize("p", [0, 1.0, INF])
+    def test_counts_every_non_finite_entry(self, p):
+        # The p=0 norm skips NaN itself, so the check must come first.
+        x = np.array([1.0, np.nan, -2.0, np.inf, np.nan, -np.inf, 3.0])
+        with pytest.raises(ConfigError,
+                           match="cannot quantize 4 non-finite entries"):
+            quantize(x, QuantSpec(bits=8, norm_p=p, rounding="stochastic"),
+                     rng=np.random.default_rng(0))
+
+    def test_nan_at_p0(self):
+        x = np.ones(BLOCK + 1)
+        x[[0, BLOCK]] = np.nan
+        with pytest.raises(ConfigError,
+                           match="cannot quantize 2 non-finite entries"):
+            quantize(x, QuantSpec(bits=8, norm_p=0))
 
 
 class TestApplySign:

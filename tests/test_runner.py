@@ -11,7 +11,7 @@ import pytest
 from lioncomm import runner
 from lioncomm.collectives import direct_allreduce, run_ranks
 from lioncomm.errors import CollectiveError, ConfigError
-from lioncomm.optimizer import hash_params
+from lioncomm.optimizer import SyncPolicy, hash_params
 from test_frames import free_base_port
 
 SMALL = {"train": {"steps": 3, "clients": 2}, "metrics_every": 1}
@@ -45,6 +45,30 @@ def test_diverged_ranks_raise_collective_error(monkeypatch):
 def test_non_positive_lr_is_rejected_by_the_config(lr):
     with pytest.raises(ConfigError, match="lr"):
         runner.RunConfig.from_dict({"train": {"lr": lr}})
+
+
+@pytest.mark.parametrize("doc", [
+    {"train": {"clients": 2.5}},
+    {"train": {"clients": True}},
+    {"train": {"steps": 3.9}},
+    {"train": {"steps": True}},
+    {"train": {"batch_size": 64.5}},
+    {"metrics_every": 1.5},
+    {"quant": {"kind": "lp", "bits": 8.5}},
+    {"quant": {"kind": "lp", "bits": True}},
+    {"sync": {"period": 2.5, "layers": "all"}},
+    {"seed": True},
+], ids=["clients-fractional", "clients-bool", "steps-fractional",
+        "steps-bool", "batch-size-fractional", "metrics-every-fractional",
+        "bits-fractional", "bits-bool", "sync-period-fractional", "seed-bool"])
+def test_integer_settings_reject_fractions_and_bools(doc):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        runner.RunConfig.from_dict(doc)
+
+
+def test_sync_policy_rejects_a_fractional_period():
+    with pytest.raises(ConfigError, match="period must be an integer"):
+        SyncPolicy(period=2.5)
 
 
 def test_rank_per_call_socket_run_matches_inproc(tmp_path):

@@ -1,7 +1,7 @@
 """Per-collective A/B timing of two source trees of lioncomm.
 
     python tools/ab_collectives.py --parent OLD/src --change NEW/src \
-        [--n 577 1000003] [--pairs 10] [--world 4] [--bits 8]
+        [--n 577 1000003] [--pairs 10] [--world 4] [--bits 8] [--step]
 
 Each pair runs both sides, one after the other, in alternating order
 (parent first on even pairs, change first on odd ones).  Each side is a
@@ -24,6 +24,14 @@ The table gives, per collective and N, the median over pairs of each
 side's figure in microseconds, the parent's quartiles over pairs, the
 change/parent ratio of the medians, and in how many pairs the change
 was faster.
+
+``--step`` times one whole ``optimizer.distributed_lion_step`` per vote
+algorithm instead, on one layer of N parameters from a fixed state: the
+benchmark's ``bulk`` spec (L-inf, stochastic rounding) at ``--bits`` >= 2,
+sign votes at ``--bits 1``.  There a side's figure is the median over
+steps of the thread CPU time summed over ranks (``time.thread_time``),
+which waits and hand-offs do not touch, and rank 0's median wall time is
+printed next to it.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import numpy as np
 
 COLLECTIVES = ("ps", "ps_efficient", "direct", "compressed1bit",
                "allreduce_mean_f32", "allgather_f64")
+VOTES = COLLECTIVES[:4]
 
 
 def reps_for(n: int) -> int:
@@ -46,8 +55,33 @@ def reps_for(n: int) -> int:
     return max(25, min(400, 4_000_000 // n))
 
 
-def worker(src: str, sizes: list[int], world: int, bits: int) -> dict:
-    """Time every collective at every size in this interpreter."""
+def time_ranks(world: int, call, reps: int) -> tuple[float, float]:
+    """Run ``call(topo)`` ``reps`` times on every rank after one warm-up,
+    in-process; return the medians over calls of the thread CPU time summed
+    over ranks and of rank 0's wall time, in microseconds."""
+    from lioncomm.collectives import run_ranks
+    from lioncomm.transport import InprocTransport
+
+    cpu = [[] for _ in range(world)]
+    wall = []
+
+    def rank(topo):
+        call(topo)  # warm-up
+        for _ in range(reps):
+            c0, t0 = time.thread_time(), time.perf_counter()
+            call(topo)
+            if topo.rank == 0:
+                wall.append(time.perf_counter() - t0)
+            cpu[topo.rank].append(time.thread_time() - c0)
+
+    run_ranks(world, rank, transport=InprocTransport(world))
+    return (float(np.median(np.sum(cpu, axis=0))) * 1e6,
+            float(np.median(wall)) * 1e6)
+
+
+def worker(src: str, sizes: list[int], world: int, bits: int,
+           step: bool) -> dict:
+    """Time every collective (or step) at every size in this interpreter."""
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, os.path.abspath(src))
@@ -55,11 +89,12 @@ def worker(src: str, sizes: list[int], world: int, bits: int) -> dict:
     from lioncomm import collectives as coll
     from lioncomm.optimizer import VOTE_ALGOS
     from lioncomm.quant import QuantSpec, SignPolicy
-    from lioncomm.transport import InprocTransport
 
     if not os.path.abspath(lioncomm.__file__).startswith(os.path.abspath(src)):
         raise SystemExit(f"lioncomm imported from {lioncomm.__file__}, "
                          f"not from {src}")
+    if step:
+        return step_worker(sizes, world, bits)
     policy = SignPolicy("alternating", iteration=1)
     spec = QuantSpec(bits=bits)
     own_lane = coll.LANE_DTYPES[coll.choose_lane_bits(1, spec.qmax)]
@@ -68,8 +103,7 @@ def worker(src: str, sizes: list[int], world: int, bits: int) -> dict:
         return lambda x, q, topo: VOTE_ALGOS[name](x if real else q, topo,
                                                    spec, policy)
 
-    calls = {name: vote(name, name == "compressed1bit")
-             for name in COLLECTIVES[:4]}
+    calls = {name: vote(name, name == "compressed1bit") for name in VOTES}
     calls["allreduce_mean_f32"] = lambda x, q, topo: coll.allreduce_mean_f32(
         x, topo)
     calls["allgather_f64"] = lambda x, q, topo: coll.allgather_f64(x, topo)
@@ -79,28 +113,45 @@ def worker(src: str, sizes: list[int], world: int, bits: int) -> dict:
         xs = [rng.normal(size=n) for _ in range(world)]
         qs = [rng.integers(-spec.qmax, spec.qmax + 1, size=n).astype(own_lane)
               for _ in range(world)]
-        reps = reps_for(n)
         for name in COLLECTIVES:
             call = calls[name]
-            times = []
-
-            def rank(topo):
-                call(xs[topo.rank], qs[topo.rank], topo)  # warm-up
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    call(xs[topo.rank], qs[topo.rank], topo)
-                    if topo.rank == 0:
-                        times.append(time.perf_counter() - t0)
-
-            coll.run_ranks(world, rank, transport=InprocTransport(world))
-            out[f"{name}/{n}"] = float(np.median(times)) * 1e6
+            out[f"{name}/{n}"] = time_ranks(
+                world, lambda topo: call(xs[topo.rank], qs[topo.rank], topo),
+                reps_for(n))[1]
     return out
 
 
-def run_side(src: str, sizes: list[int], world: int, bits: int) -> dict:
+def step_worker(sizes: list[int], world: int, bits: int) -> dict:
+    """Thread CPU and rank 0 wall time of one step per vote algorithm."""
+    from lioncomm.optimizer import (LionHyper, WorkerState,
+                                    distributed_lion_step)
+    from lioncomm.quant import INF, QuantSpec
+
+    spec = (QuantSpec(bits=1) if bits == 1 else
+            QuantSpec(bits=bits, norm_p=INF, rounding="stochastic"))
+    h = LionHyper(beta1=0.9, beta2=0.99, lr=3e-4)
+    out = {}
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        states = [WorkerState({"w": rng.normal(size=n)},
+                              {"w": rng.laplace(size=n)})
+                  for _ in range(world)]
+        grads = [{"w": rng.laplace(size=n)} for _ in range(world)]
+        rngs = [np.random.default_rng([n, r]) for r in range(world)]
+        for algo in VOTES:
+            out[f"{algo}/{n}"] = time_ranks(
+                world, lambda topo: distributed_lion_step(
+                    states[topo.rank], grads[topo.rank], h, spec, topo, algo,
+                    rng=rngs[topo.rank]),
+                reps_for(n))
+    return out
+
+
+def run_side(src: str, sizes: list[int], world: int, bits: int,
+             step: bool) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", src,
            "--n", *map(str, sizes), "--world", str(world),
-           "--bits", str(bits)]
+           "--bits", str(bits)] + ["--step"] * step
     done = subprocess.run(cmd, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -108,6 +159,30 @@ def run_side(src: str, sizes: list[int], world: int, bits: int) -> dict:
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = np.percentile(values, [25, 50, 75])
     return float(q1), float(q2), float(q3)
+
+
+def print_steps(args, runs: dict):
+    """The ``--step`` table: thread CPU summed over ranks, rank 0 wall."""
+    print(f"P={args.world}, {args.bits}-bit values, one distributed_lion_step "
+          f"in-process, one core per side, {args.pairs} pairs; "
+          f"{os.cpu_count()} cores on this host")
+    print(f"{'algo':<16}{'N':>9}{'parent_cpu_us':>15}{'parent_q1-q3':>20}"
+          f"{'change_cpu_us':>15}{'ratio':>8}{'wins':>8}"
+          f"{'parent_wall_us':>16}{'change_wall_us':>16}")
+    for n in args.n:
+        for algo in VOTES:
+            key = f"{algo}/{n}"
+            old = [r[key][0] for r in runs["parent"]]
+            new = [r[key][0] for r in runs["change"]]
+            q1, med_old, q3 = quartiles(old)
+            med_new = quartiles(new)[1]
+            wins = sum(b < a for a, b in zip(old, new))
+            wall_old = quartiles([r[key][1] for r in runs["parent"]])[1]
+            wall_new = quartiles([r[key][1] for r in runs["change"]])[1]
+            print(f"{algo:<16}{n:>9}{med_old:>15.1f}"
+                  f"{f'{q1:.1f}-{q3:.1f}':>20}{med_new:>15.1f}"
+                  f"{med_new / med_old:>8.3f}{f'{wins}/{args.pairs}':>8}"
+                  f"{wall_old:>16.1f}{wall_new:>16.1f}")
 
 
 def main(argv=None) -> int:
@@ -123,6 +198,9 @@ def main(argv=None) -> int:
     ap.add_argument("--bits", type=int, default=8,
                     help="QuantSpec bits of the integer votes' values; 1 "
                          "votes signs (default: 8)")
+    ap.add_argument("--step", action="store_true",
+                    help="time one distributed_lion_step per vote algorithm "
+                         "by thread CPU time instead of the collectives")
     ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if not 1 <= args.world <= 64:
@@ -130,7 +208,8 @@ def main(argv=None) -> int:
     if not 1 <= args.bits <= 16:
         ap.error("--bits must be in 1..16")
     if args.worker:
-        print(json.dumps(worker(args.worker, args.n, args.world, args.bits)))
+        print(json.dumps(worker(args.worker, args.n, args.world, args.bits,
+                                args.step)))
         return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
@@ -142,7 +221,10 @@ def main(argv=None) -> int:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_side(getattr(args, side), args.n,
-                                       args.world, args.bits))
+                                       args.world, args.bits, args.step))
+    if args.step:
+        print_steps(args, runs)
+        return 0
 
     print(f"P={args.world}, {args.bits}-bit values, in-process, one core per "
           f"side, {args.pairs} pairs; {os.cpu_count()} cores on this host")

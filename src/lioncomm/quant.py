@@ -25,11 +25,21 @@ and no full-length temporary is made per operation.  Each block applies
 the whole-array formula's operations in its order, and ``sround`` draws in
 element order, so the results and the generator's state are bit for bit
 those of the whole-array formulas.
+
+The full-length float arrays of a step (c, the new momentum and
+parameters in ``optimizer``, ``scaled`` in ``quantize``) come from
+``pooled`` instead of ``np.empty`` once they exceed ``BLOCK`` elements.  The
+pool hands an array out again only when nothing outside it references the
+array, so a step reuses the pages its predecessors dropped rather than
+having the kernel fault in and zero new ones.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -135,6 +145,41 @@ def blocks(n: int) -> tuple[slice, ...]:
     return tuple(slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK))
 
 
+# (shape, dtype) -> [sentinel, arrays...]: every array ``pooled`` has made
+# for that key, after an object that nothing else ever references.
+_POOL: dict[tuple, list] = {}
+_POOL_LOCK = threading.Lock()
+
+
+def pooled(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized array, like ``np.empty``: one from the pool that
+    nothing outside it references, else a new one that joins the pool.
+
+    An array is free when its reference count equals the sentinel's, read
+    the same way in the same loop, so however the interpreter counts the
+    loop's own references, a held array never reads as free.  A view holds
+    its base, so an array with a live view is in use; a weak reference or a
+    raw data pointer does not count.  A key's pool grows only when all its
+    arrays are in use, so it holds at most as many as were ever alive at
+    once, for the life of the process.  Arrays of at most ``BLOCK``
+    elements come from ``np.empty`` and never enter the pool.
+    """
+    if math.prod(shape) <= BLOCK:
+        return np.empty(shape, dtype)
+    with _POOL_LOCK:
+        held = _POOL.setdefault((shape, np.dtype(dtype)), [object()])
+        free = None
+        for a in held:                  # held[0] is the sentinel
+            refs = sys.getrefcount(a)
+            if free is None:
+                free = refs
+            elif refs == free:
+                return a
+        a = np.empty(shape, dtype)
+        held.append(a)
+        return a
+
+
 def sround(v: Union[float, np.ndarray], rng: np.random.Generator,
            dtype=np.int64) -> np.ndarray:
     """Stochastic rounding, unbiased in expectation.
@@ -205,7 +250,8 @@ def quantize(x: np.ndarray, spec: QuantSpec,
         # the integers clamping the rounded values would, already in range
         # for ``dtype``; sround draws one number per element either way.
         # M maps to qmax for p = inf, 2M for finite p.
-        scaled = (qmax / (m if spec.norm_p == INF else 2.0 * m)) * y
+        scaled = np.multiply(qmax / (m if spec.norm_p == INF else 2.0 * m),
+                             y, out=pooled(y.shape, np.float64))
         np.clip(scaled, -qmax, qmax, out=scaled)
         if spec.rounding == "stochastic":
             if rng is None:
@@ -227,10 +273,10 @@ def apply_sign(x: np.ndarray, policy: SignPolicy) -> np.ndarray:
     floating-point input raises ``ConfigError``.
     """
     x = np.asarray(x)
-    if x.dtype.kind == "f":
+    # A NaN reaches the minimum; the NaNs are counted only to raise.
+    if x.dtype.kind == "f" and x.size and math.isnan(x.min()):
         nans = int(np.count_nonzero(np.isnan(x)))
-        if nans:
-            raise ConfigError(f"cannot take the sign of {nans} NaN entries")
+        raise ConfigError(f"cannot take the sign of {nans} NaN entries")
     if policy.mode == "alternating":
         # Zeros take the fill sign, so one comparison decides every entry.
         if policy.zero_fill() > 0:

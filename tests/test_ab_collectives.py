@@ -54,3 +54,7 @@ def test_ab_harness_times_whole_steps():
     for row in rows:
         assert row[1] == "5" and row[6] in ("0/1", "1/1")
         assert all(float(row[i]) > 0 for i in (2, 4, 7, 8))
+    # Minor page faults per step, summed over ranks, for each side.
+    assert lines[1].split()[-2:] == ["parent_faults", "change_faults"]
+    for row in rows:
+        assert len(row) == 11 and all(float(row[i]) >= 0 for i in (9, 10))

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from lioncomm import quant
 from lioncomm.collectives import run_ranks
 from lioncomm.errors import (CapacityError, CollectiveError, ConfigError,
                              LionCommError)
@@ -298,6 +299,180 @@ class TestBlockedStep:
                 assert out.params[name].tobytes() == (theta - step).tobytes()
                 assert out.momentum[name].tobytes() == mom.tobytes()
                 assert out.params[name].dtype == np.float64
+
+
+POOL_N = 2 * BLOCK + 3
+POOL_STEPS = 14           # a kept object outlives 10 or more steps
+
+
+def arrays_of(obj):
+    """The arrays a kept object reaches: a state's, a dict's values, or
+    the array itself."""
+    if isinstance(obj, WorkerState):
+        return arrays_of(obj.params) + arrays_of(obj.momentum)
+    if isinstance(obj, dict):
+        return [a for v in obj.values() for a in arrays_of(v)]
+    return [obj]
+
+
+def pooled_run(keep, sizes=None, world=2, sync=None, steps=POOL_STEPS):
+    """Each rank takes ``steps`` sign-vote ``direct`` steps, dropping every
+    state it does not keep.  ``keep(t, state, out)`` names objects to hold
+    after step t; each must read the bytes it had then after the last step."""
+    sizes = sizes or {"w": POOL_N}
+    h = LionHyper(beta1=0.9, beta2=0.99, lr=3e-4)
+
+    def rank(topo):
+        rng = np.random.default_rng(topo.rank)
+        state = WorkerState({k: rng.normal(size=n) for k, n in sizes.items()},
+                            {k: rng.laplace(size=n) for k, n in sizes.items()})
+        kept = []
+        for t in range(1, steps + 1):
+            grad = {k: rng.laplace(size=n) for k, n in sizes.items()}
+            out = {}
+            state = distributed_lion_step(state, grad, h, QuantSpec(bits=1),
+                                          topo, "direct", metrics_out=out)
+            if sync is not None:
+                state = maybe_sync_momentum(state, sync, topo)
+            kept += [(obj, [a.tobytes() for a in arrays_of(obj)])
+                     for obj in keep(t, state, out)]
+        return kept
+
+    for kept in run_vote(world, rank):
+        assert kept
+        for obj, snapshot in kept:
+            assert [a.tobytes() for a in arrays_of(obj)] == snapshot
+
+
+class TestArrayPool:
+    """Steps reuse the full-length arrays of ``quant.pooled``; none that a
+    caller still holds, however, may change under it."""
+
+    def test_a_kept_earlier_state_is_never_written(self):
+        pooled_run(lambda t, state, out: [state] if t in (1, 5) else [])
+
+    def test_a_slice_view_of_the_parameters_is_never_written(self):
+        pooled_run(lambda t, state, out:
+                   [state.params["w"][5:BLOCK + 9]] if t in (1, 5) else [])
+
+    def test_kept_metrics_are_never_written(self):
+        pooled_run(lambda t, state, out:
+                   [out["c_local"], out["vote_sign"]] if t in (1, 5) else [])
+
+    def test_synced_momentum_views_are_never_written(self):
+        def keep(t, state, out):
+            if t % 3:
+                return []
+            assert state.momentum["a"].base is not None  # a _split view
+            return [state.momentum["a"], state.momentum["b"][1:]]
+
+        pooled_run(keep, sizes={"a": POOL_N, "b": POOL_N + 1},
+                   sync=SyncPolicy(period=3, layers="all"))
+
+    def test_restarts_from_one_state_never_write_it(self):
+        # The benchmark runs blocks of steps from one initial state.
+        h = LionHyper(beta1=0.9, beta2=0.99, lr=3e-4)
+        rng = np.random.default_rng(3)
+        inits = [WorkerState({"w": rng.normal(size=POOL_N)},
+                             {"w": rng.laplace(size=POOL_N)})
+                 for _ in range(2)]
+        grads = [{"w": rng.laplace(size=POOL_N)} for _ in range(2)]
+        before = [hash_params({**s.params, "m": s.momentum["w"]})
+                  for s in inits]
+
+        def rank(topo):
+            ends = set()
+            for _ in range(6):
+                state = inits[topo.rank]
+                for _ in range(2):
+                    state = distributed_lion_step(
+                        state, grads[topo.rank], h, QuantSpec(bits=1), topo,
+                        "direct")
+                ends.add(hash_params({**state.params,
+                                      "m": state.momentum["w"]}))
+            return ends
+
+        assert [len(e) for e in run_vote(2, rank)] == [1, 1]
+        assert [hash_params({**s.params, "m": s.momentum["w"]})
+                for s in inits] == before
+
+    def test_a_steady_loop_gets_its_buffers_back(self):
+        n = POOL_N + 7          # a key of this test's own
+        h = LionHyper(beta1=0.9, beta2=0.99, lr=3e-4)
+
+        def rank(topo):
+            rng = np.random.default_rng(0)
+            state = WorkerState.initial({"w": rng.normal(size=n)})
+            grad = {"w": rng.laplace(size=n)}
+            seen = []
+            for _ in range(POOL_STEPS):
+                state = distributed_lion_step(state, grad, h, QuantSpec(bits=1),
+                                              topo, "direct")
+                seen.append({state.params["w"].ctypes.data,
+                             state.momentum["w"].ctypes.data})
+            return seen
+
+        (seen,) = run_vote(1, rank)
+        pool = quant._POOL[((n,), np.dtype(np.float64))][1:]
+        # The old state, c and the new state: five arrays, made in the
+        # first two steps and then handed round.
+        assert len(pool) == 5
+        assert set().union(*seen) < {a.ctypes.data for a in pool}
+        assert seen[2:] == seen[:-2] and seen[2] != seen[3]
+
+    @pytest.mark.parametrize("sizes", [{"w": BLOCK}, {"a": BLOCK, "b": 577}])
+    def test_layers_of_at_most_a_block_never_enter_the_pool(self, sizes):
+        pooled_run(lambda t, state, out: [state] if t == 1 else [],
+                   sizes=sizes, steps=3)
+        assert all(np.prod(key[0]) > BLOCK for key in quant._POOL)
+
+    def test_four_threaded_ranks_match_the_whole_array_formulas(self):
+        # ``ps`` of full-precision c: the vote is sign(c_0 + ... + c_3).
+        world, h = 4, LionHyper(beta1=0.9, beta2=0.99, lr=3e-4,
+                                weight_decay=0.1)
+        rng = np.random.default_rng(11)
+        inits = [WorkerState({"w": rng.normal(size=POOL_N)},
+                             {"w": rng.laplace(size=POOL_N)})
+                 for _ in range(world)]
+        grads = [[{"w": rng.laplace(size=POOL_N)} for _ in range(world)]
+                 for _ in range(POOL_STEPS)]
+
+        def rank(topo):
+            state, digests = inits[topo.rank], []
+            for step_grads in grads:
+                state = distributed_lion_step(state, step_grads[topo.rank], h,
+                                              spec=None, topo=topo, algo="ps")
+                digests.append((hash_params(state.params),
+                                hash_params(state.momentum)))
+            return digests
+
+        got = run_vote(world, rank)
+        thetas = [s.params["w"] for s in inits]
+        moms = [s.momentum["w"] for s in inits]
+        for t, step_grads in enumerate(grads, start=1):
+            gs = [g["w"] for g in step_grads]
+            cs = []
+            for m, g in zip(moms, gs):
+                c = np.multiply(h.beta1, m)
+                c += (1.0 - h.beta1) * g
+                cs.append(c)
+            total = sum(cs[1:], cs[0])
+            sign = np.where(total == 0, 1 if t % 2 else -1, np.sign(total))
+            new_thetas = []
+            for theta in thetas:
+                step = np.multiply(h.weight_decay, theta)
+                step += sign
+                step *= h.lr
+                new_thetas.append(theta - step)
+            new_moms = []
+            for m, g in zip(moms, gs):
+                mom = np.multiply(h.beta2, m)
+                mom += (1.0 - h.beta2) * g
+                new_moms.append(mom)
+            thetas, moms = new_thetas, new_moms
+            for r in range(world):
+                assert got[r][t - 1] == (hash_params({"w": thetas[r]}),
+                                         hash_params({"w": moms[r]}))
 
 
 class TestMomentumSync:

@@ -1,12 +1,17 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lioncomm.errors import ConfigError, PackFormatError, PackRangeError
+from lioncomm import quant
 from lioncomm.quant import (BLOCK, INF, QuantSpec, SignPolicy, _log_map, apply_sign,
-                            lp_mean_norm, pack, pack_ints, quantize, sround,
-                            unpack, unpack_ints, vote_input)
+                            lp_mean_norm, pack, pack_ints, pooled, quantize,
+                            sround, unpack, unpack_ints, vote_input)
 
 
 class TestLpMeanNorm:
@@ -279,6 +284,67 @@ class TestBlockedSround:
         assert a.random() == b.random()
 
 
+class TestPooled:
+    """``pooled`` hands an array out again only once nothing else holds it."""
+
+    SHAPE = (BLOCK + 11,)       # a key no other test asks for
+
+    def test_a_dropped_array_comes_back(self):
+        a = pooled(self.SHAPE, np.float64)
+        ptr = a.ctypes.data
+        del a
+        b = pooled(self.SHAPE, np.float64)
+        assert b.ctypes.data == ptr and b.shape == self.SHAPE
+
+    def test_a_held_array_or_its_view_is_never_handed_out(self):
+        a = pooled(self.SHAPE, np.float64)
+        view = pooled(self.SHAPE, np.float64)[5:9]
+        taken = {a.ctypes.data, view.base.ctypes.data}
+        others = [pooled(self.SHAPE, np.float64) for _ in range(3)]
+        assert not taken & {o.ctypes.data for o in others}
+        assert len(taken | {o.ctypes.data for o in others}) == 5
+
+    def test_keys_are_shape_and_dtype(self):
+        a = pooled(self.SHAPE, np.float64)
+        ptr = a.ctypes.data
+        del a
+        assert pooled(self.SHAPE, np.float32).ctypes.data != ptr
+        assert pooled((1,) + self.SHAPE, np.float64).ctypes.data != ptr
+
+    @pytest.mark.parametrize("shape", [(), (0,), (BLOCK,), (2, BLOCK // 2)])
+    def test_small_arrays_never_enter_the_pool(self, shape):
+        a = pooled(shape, np.float64)
+        assert a.shape == shape
+        assert all(np.prod(key[0]) > BLOCK for key in quant._POOL)
+
+    def test_threads_never_share_an_array(self):
+        start, bad = threading.Barrier(4), []
+
+        def work(k):
+            start.wait()
+            for _ in range(200):
+                a = pooled(self.SHAPE, np.int64)
+                a[::997] = k
+                time.sleep(0)           # let another thread take its turn
+                if not (a[::997] == k).all():
+                    bad.append(k)
+                del a
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as it can
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not bad
+        # At most one array a thread: the sentinel and four.
+        assert len(quant._POOL[(self.SHAPE, np.dtype(np.int64))]) <= 1 + 4
+
+
 class TestQuantizeNonFinite:
     @pytest.mark.parametrize("p", [0, 1.0, INF])
     def test_counts_every_non_finite_entry(self, p):
@@ -340,6 +406,20 @@ class TestApplySignOracle:
         x = np.array([1.0, np.nan, 0.0, np.nan, -2.0, np.nan])
         with pytest.raises(ConfigError, match="3 NaN"):
             apply_sign(x, SignPolicy(mode, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_found_in_any_block(self, dtype):
+        x = np.ones(3 * BLOCK + 5, dtype)
+        x[[0, 2 * BLOCK + 1, -1]] = np.nan
+        with pytest.raises(ConfigError, match="3 NaN"):
+            apply_sign(x, SignPolicy("alternating", 1))
+
+    def test_infinities_and_empty_inputs_have_signs(self):
+        x = np.array([np.inf, -np.inf, 0.0])
+        assert apply_sign(x, SignPolicy("exact-ternary")).tolist() == [1, -1, 0]
+        for mode in ("exact-ternary", "alternating"):
+            out = apply_sign(np.empty(0), SignPolicy(mode, 1))
+            assert out.dtype == np.int8 and out.size == 0
 
 
 def _shift_sum_pack(signs):

@@ -30,8 +30,10 @@ algorithm instead, on one layer of N parameters from a fixed state: the
 benchmark's ``bulk`` spec (L-inf, stochastic rounding) at ``--bits`` >= 2,
 sign votes at ``--bits 1``.  There a side's figure is the median over
 steps of the thread CPU time summed over ranks (``time.thread_time``),
-which waits and hand-offs do not touch, and rank 0's median wall time is
-printed next to it.
+which waits and hand-offs do not touch.  Rank 0's median wall time and the
+median minor page faults per step, summed over ranks
+(``getrusage(RUSAGE_THREAD).ru_minflt``, Linux), are printed next to it:
+a step that allocates fresh memory pays for the kernel zeroing its pages.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -55,28 +58,37 @@ def reps_for(n: int) -> int:
     return max(25, min(400, 4_000_000 // n))
 
 
-def time_ranks(world: int, call, reps: int) -> tuple[float, float]:
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+
+
+def time_ranks(world: int, call, reps: int) -> tuple[float, float, float]:
     """Run ``call(topo)`` ``reps`` times on every rank after one warm-up,
     in-process; return the medians over calls of the thread CPU time summed
-    over ranks and of rank 0's wall time, in microseconds."""
+    over ranks and of rank 0's wall time, in microseconds, and of the minor
+    page faults summed over ranks."""
     from lioncomm.collectives import run_ranks
     from lioncomm.transport import InprocTransport
 
     cpu = [[] for _ in range(world)]
+    faults = [[] for _ in range(world)]
     wall = []
 
     def rank(topo):
         call(topo)  # warm-up
         for _ in range(reps):
+            f0 = minor_faults()
             c0, t0 = time.thread_time(), time.perf_counter()
             call(topo)
             if topo.rank == 0:
                 wall.append(time.perf_counter() - t0)
             cpu[topo.rank].append(time.thread_time() - c0)
+            faults[topo.rank].append(minor_faults() - f0)
 
     run_ranks(world, rank, transport=InprocTransport(world))
     return (float(np.median(np.sum(cpu, axis=0))) * 1e6,
-            float(np.median(wall)) * 1e6)
+            float(np.median(wall)) * 1e6,
+            float(np.median(np.sum(faults, axis=0))))
 
 
 def worker(src: str, sizes: list[int], world: int, bits: int,
@@ -122,7 +134,8 @@ def worker(src: str, sizes: list[int], world: int, bits: int,
 
 
 def step_worker(sizes: list[int], world: int, bits: int) -> dict:
-    """Thread CPU and rank 0 wall time of one step per vote algorithm."""
+    """Thread CPU, rank 0 wall time and minor faults of one step per vote
+    algorithm."""
     from lioncomm.optimizer import (LionHyper, WorkerState,
                                     distributed_lion_step)
     from lioncomm.quant import INF, QuantSpec
@@ -162,13 +175,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def print_steps(args, runs: dict):
-    """The ``--step`` table: thread CPU summed over ranks, rank 0 wall."""
+    """The ``--step`` table: thread CPU summed over ranks, rank 0 wall,
+    minor faults summed over ranks."""
     print(f"P={args.world}, {args.bits}-bit values, one distributed_lion_step "
           f"in-process, one core per side, {args.pairs} pairs; "
           f"{os.cpu_count()} cores on this host")
     print(f"{'algo':<16}{'N':>9}{'parent_cpu_us':>15}{'parent_q1-q3':>20}"
           f"{'change_cpu_us':>15}{'ratio':>8}{'wins':>8}"
-          f"{'parent_wall_us':>16}{'change_wall_us':>16}")
+          f"{'parent_wall_us':>16}{'change_wall_us':>16}"
+          f"{'parent_faults':>15}{'change_faults':>15}")
     for n in args.n:
         for algo in VOTES:
             key = f"{algo}/{n}"
@@ -179,10 +194,13 @@ def print_steps(args, runs: dict):
             wins = sum(b < a for a, b in zip(old, new))
             wall_old = quartiles([r[key][1] for r in runs["parent"]])[1]
             wall_new = quartiles([r[key][1] for r in runs["change"]])[1]
+            flt_old = quartiles([r[key][2] for r in runs["parent"]])[1]
+            flt_new = quartiles([r[key][2] for r in runs["change"]])[1]
             print(f"{algo:<16}{n:>9}{med_old:>15.1f}"
                   f"{f'{q1:.1f}-{q3:.1f}':>20}{med_new:>15.1f}"
                   f"{med_new / med_old:>8.3f}{f'{wins}/{args.pairs}':>8}"
-                  f"{wall_old:>16.1f}{wall_new:>16.1f}")
+                  f"{wall_old:>16.1f}{wall_new:>16.1f}"
+                  f"{flt_old:>15.1f}{flt_new:>15.1f}")
 
 
 def main(argv=None) -> int:

@@ -26,9 +26,12 @@ EXIT_COLLECTIVE = 3
 def _load_config(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {doc!r}")
+    return doc
 
 
 def cmd_train(args) -> int:

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the integer-setting check
-that raises one."""
+"""Exception types shared across the package, and the checks of integer,
+real and boolean settings that raise one."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class LionCommError(Exception):
@@ -20,6 +20,21 @@ def check_int(name: str, value, least: int, most: int | None = None) -> int:
         bound = f">= {least}" if most is None else f"in {least}..{most}"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float if it is a real number (inf included); a bool, a
+    string or a NaN is a ``ConfigError``, not read as 1.0 or 0.0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or value != value:
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_bool(name: str, value) -> bool:
+    """``value`` if it is a bool; "false", "no" or 0 is a ``ConfigError``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 class CapacityError(ConfigError):

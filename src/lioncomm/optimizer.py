@@ -31,7 +31,7 @@ import numpy as np
 
 from . import collectives as coll
 from .collectives import Topology, VoteResult
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .quant import BLOCK, QuantSpec, SignPolicy, blocks, pooled, vote_input
 
 ParamSet = dict[str, np.ndarray]
@@ -54,10 +54,12 @@ def hash_params(params: ParamSet) -> str:
 class LionHyper:
     beta1: float = 0.9
     beta2: float = 0.99
-    lr: float = 1e-4
+    lr: float = 3e-4
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        for name in ("beta1", "beta2", "lr", "weight_decay"):
+            check_real(name, getattr(self, name))
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must be strictly inside (0, 1)")
         if not self.lr > 0:
@@ -90,7 +92,7 @@ class SyncPolicy:
     """
 
     period: int = 0
-    layers: Union[str, frozenset] = "all"
+    layers: Union[str, frozenset] = "none"
 
     def __post_init__(self):
         check_int("period", self.period, 0)

@@ -46,7 +46,7 @@ from typing import Union
 import numpy as np
 
 from .errors import (CapacityError, ConfigError, PackFormatError,
-                     PackRangeError, check_int)
+                     PackRangeError, check_bool, check_int, check_real)
 
 # Sentinel accepted for QuantSpec.norm_p alongside float("inf").
 INF = float("inf")
@@ -76,10 +76,12 @@ class QuantSpec:
 
     def __post_init__(self):
         check_int("bits", self.bits, 1, 32)
-        if not (self.norm_p == 0 or self.norm_p > 0):
+        if not check_real("norm_p", self.norm_p) >= 0:
             raise ConfigError(f"norm_p must be 0, positive, or inf: {self.norm_p}")
         if self.rounding not in ("nearest", "stochastic"):
-            raise ConfigError(f"unknown rounding mode {self.rounding!r}")
+            raise ConfigError(f"rounding {self.rounding!r} is not nearest or stochastic")
+        check_bool("log_transform", self.log_transform)
+        check_bool("no_zero", self.no_zero)
 
     @property
     def qmax(self) -> int:

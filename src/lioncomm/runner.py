@@ -4,7 +4,7 @@ Training runs the teacher-student workload under distributed Lion with a
 configurable vote algorithm, quantizer, momentum-sync policy, and noise
 spec.  Per-step metrics (loss, tie rate, sign match/flip against the
 full-precision aggregate, per-layer momentum divergence) stream to CSV;
-a JSON report captures the config echo, summary statistics, and phase
+a JSON report captures the resolved config, summary statistics, and phase
 wall-clock breakdown.
 """
 
@@ -15,13 +15,13 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import collectives as coll
 from .collectives import Topology, run_ranks
-from .errors import CollectiveError, ConfigError, check_int
+from .errors import CollectiveError, ConfigError, check_int, check_real
 from .optimizer import (VOTE_ALGOS, LionHyper, SyncPolicy, WorkerState,
                         distributed_lion_step, hash_params,
                         maybe_sync_momentum, momentum_divergence)
@@ -33,97 +33,120 @@ from .workloads import (MlpModel, NoiseSpec, init_mlp, noisy_client_grads,
 
 # -------------------------------------------------------------- run config
 
-DEFAULT_CONFIG = {
-    "model": {"in_dim": 16, "hidden": 32, "out_dim": 1},
-    "train": {"steps": 500, "batch_size": 64, "clients": 8, "lr": 3e-4,
-              "beta1": 0.9, "beta2": 0.99, "weight_decay": 0.0},
-    "quant": {"kind": "lp", "bits": 8, "norm_p": 1.0},
-    "algo": "direct",
-    "sync": {"period": 0, "layers": "none"},
-    "noise": {"levy_alpha": 2.0, "scale": 0.0},
-    "seed": 0,
-    "metrics_every": 1,
-}
+# ``train`` keys that are RunConfig's own; the rest are LionHyper's fields.
+LOOP_KEYS = ("steps", "batch_size", "clients")
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+def _keys(path: str, doc, known) -> dict:
+    """A copy of the config object at ``path`` ("" at the top level); a key
+    outside ``known`` is a ``ConfigError`` naming its path (``train.stepz``)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'the config'} must be an object, got {doc!r}")
+    unknown = [f"{path}.{key}".lstrip(".") for key in doc if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]}")
+    return dict(doc)
+
+
+def _build(cls, path: str, doc, **defaults):
+    """``cls`` from the config object at ``path``, whose keys are the fields
+    of ``cls``; a bad value is a ``ConfigError`` naming its path."""
+    kwargs = {**defaults, **_keys(path, doc, [f.name for f in fields(cls)])}
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 @dataclass
 class RunConfig:
-    model: MlpModel
-    steps: int
-    batch_size: int
-    clients: int
-    hyper: LionHyper
-    quant: QuantSpec | None      # None = full precision; bits=1 spec = sign
-    algo: str
-    sync: SyncPolicy
-    noise: NoiseSpec
-    seed: int
-    metrics_every: int
-    raw: dict = field(repr=False, default_factory=dict)
+    """A training run.  ``from_dict`` reads its JSON config, whose sections
+    are the keyword arguments of the dataclasses they build, so every
+    default is written once, as a field default; ``to_dict`` writes the
+    resolved config back in that shape."""
+
+    model: MlpModel = MlpModel()
+    steps: int = 500
+    batch_size: int = 64
+    clients: int = 8
+    hyper: LionHyper = LionHyper()
+    quant: QuantSpec | None = QuantSpec()  # None = full precision; bits=1 = sign
+    algo: str = "direct"
+    sync: SyncPolicy = SyncPolicy()
+    noise: NoiseSpec = NoiseSpec()
+    seed: int = 0
+    metrics_every: int = 1
+
+    def __post_init__(self):
+        for name in LOOP_KEYS + ("metrics_every",):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        if self.algo not in VOTE_ALGOS:
+            raise ConfigError(f"unknown algo {self.algo!r}")
+        if self.algo == "compressed1bit":  # it votes the signs of c, always
+            self.quant = QuantSpec(bits=1)
+        elif self.algo == "direct" and self.quant is None:
+            raise ConfigError("algo 'direct' sums integer votes: it cannot "
+                              "run with quant.kind 'none'")
+        if not isinstance(self.sync.layers, str):
+            unknown = sorted(self.sync.layers - set(self.model.layer_sizes))
+            if unknown:
+                raise ConfigError(f"sync.layers names no layer: {unknown}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        cfg = _merge(DEFAULT_CONFIG, doc)
         try:
-            model = MlpModel(**cfg["model"])
-            tr = cfg["train"]
-            hyper = LionHyper(beta1=tr["beta1"], beta2=tr["beta2"],
-                              lr=tr["lr"], weight_decay=tr["weight_decay"])
-            quant = parse_quant(cfg["quant"])
-            algo = cfg["algo"]
-            if algo not in VOTE_ALGOS:
-                raise ConfigError(f"unknown algo {algo!r}")
-            sync = SyncPolicy(period=cfg["sync"]["period"],
-                              layers=cfg["sync"]["layers"])
-            if not isinstance(sync.layers, str):
-                unknown = sorted(sync.layers - set(model.layer_sizes))
-                if unknown:
-                    raise ConfigError(f"sync.layers names no layer: {unknown}")
-            seed = check_int("seed", cfg["seed"], 0)
-            noise_doc = dict(cfg["noise"])
-            noise_doc.setdefault("per_client_seed", seed + 1000)
-            noise = NoiseSpec(**noise_doc)
-            return cls(model=model, steps=check_int("steps", tr["steps"], 1),
-                       batch_size=check_int("batch_size", tr["batch_size"], 1),
-                       clients=check_int("clients", tr["clients"], 1),
-                       hyper=hyper, quant=quant, algo=algo, sync=sync,
-                       noise=noise, seed=seed,
-                       metrics_every=check_int("metrics_every",
-                                               cfg["metrics_every"], 1),
-                       raw=cfg)
-        except (KeyError, TypeError, ValueError) as exc:
+            top = _keys("", doc, ("model", "train", "quant", "algo", "sync",
+                                  "noise", "seed", "metrics_every"))
+            train = top.pop("train", {})
+            noise = top.pop("noise", {})
+            cfg = cls(model=_build(MlpModel, "model", top.pop("model", {})),
+                      hyper=_build(LionHyper, "train", {
+                          k: v for k, v in train.items() if k not in LOOP_KEYS}),
+                      quant=parse_quant(top.pop("quant", {})),
+                      sync=_build(SyncPolicy, "sync", top.pop("sync", {})),
+                      **{k: train[k] for k in LOOP_KEYS if k in train}, **top)
+            return replace(cfg, noise=_build(NoiseSpec, "noise", noise,
+                                             per_client_seed=cfg.seed + 1000))
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid run config: {exc}") from exc
+
+    def to_dict(self) -> dict:
+        """The resolved config, which ``from_dict`` reads back to an equal
+        RunConfig."""
+        doc, q = asdict(self), self.quant
+        doc["train"] = {**{k: doc.pop(k) for k in LOOP_KEYS}, **doc.pop("hyper")}
+        if q is None or q == QuantSpec(bits=1):
+            doc["quant"] = {"kind": "none" if q is None else "sign"}
+        else:  # JSON has no inf: L-inf is written as from_dict reads it
+            doc["quant"] = {"kind": "lp", **doc["quant"],
+                            "norm_p": "inf" if q.norm_p == INF else q.norm_p}
+        if not isinstance(self.sync.layers, str):
+            doc["sync"]["layers"] = sorted(self.sync.layers)
+        return doc
 
 
 def parse_quant(doc: dict) -> QuantSpec | None:
-    kind = doc.get("kind", "lp")
-    if kind == "none":
-        return None
-    if kind == "sign":
-        return QuantSpec(bits=1)
+    """The ``quant`` config object: ``{"kind": "sign"}`` (1-bit signs) and
+    ``{"kind": "none"}`` (full precision) take no other key; ``lp``, the
+    default kind, takes the ``QuantSpec`` fields, with ``norm_p`` also
+    "inf" and then stochastic rounding by default."""
+    kw = _keys("quant", doc, ["kind"] + [f.name for f in fields(QuantSpec)])
+    kind = kw.pop("kind", "lp")
+    if kind in ("sign", "none"):
+        _keys("quant", kw, ())
+        return QuantSpec(bits=1) if kind == "sign" else None
     if kind != "lp":
-        raise ConfigError(f"unknown quant kind {kind!r}")
-    p = doc.get("norm_p", 1.0)
-    if isinstance(p, str):
-        if p not in ("inf", "infinity"):
-            raise ConfigError(f"bad norm_p {p!r}")
-        p = INF
-    return QuantSpec(
-        bits=doc.get("bits", 8), norm_p=float(p),
-        rounding=doc.get("rounding", "stochastic" if p == INF else "nearest"),
-        log_transform=bool(doc.get("log_transform", False)),
-        no_zero=bool(doc.get("no_zero", False)),
-    )
+        raise ConfigError(f"quant.kind must be 'lp', 'sign' or 'none', "
+                          f"got {kind!r}")
+    if kw.get("norm_p") in ("inf", "infinity", INF):
+        kw["norm_p"] = INF
+        kw.setdefault("rounding", "stochastic")
+    return _build(QuantSpec, "quant", kw)
+
+
+# Defaults of every run-config key, in ``from_dict``'s shape.
+DEFAULT_CONFIG = RunConfig.from_dict({}).to_dict()
 
 
 # ------------------------------------------------------------ worker loop
@@ -212,7 +235,7 @@ def build_report(cfg: RunConfig, rows: list[dict], phase: dict,
         },
     }
     return {
-        "config": cfg.raw,
+        "config": cfg.to_dict(),
         "summary": summary,
         "environment": {"world_size": world_size, "transport": transport},
         "final_params_hash": params_hash,
@@ -325,7 +348,8 @@ def quant_bench(updates: list[np.ndarray], bits: int, seed: int = 0,
         doc = BENCH_VARIANTS.get(variant) if isinstance(variant, str) else None
         if doc is None:
             raise ConfigError(f"unknown quantizer variant {variant!r}")
-        spec = parse_quant({**doc, "bits": bits})
+        # The lp variants vote at the run's bits; "1bit" is {"kind": "sign"}.
+        spec = parse_quant(doc if "kind" in doc else {**doc, "bits": bits})
         rng = np.random.default_rng(np.random.SeedSequence([seed, 77]))
         q = [vote_input(c, spec, policy, rng) for c in updates]
         match, flip = _match_flip(np.sign(np.sum(np.stack(q), axis=0)), ref)
@@ -336,19 +360,22 @@ def quant_bench(updates: list[np.ndarray], bits: int, seed: int = 0,
 
 def run_quant_bench(doc: dict) -> list[dict]:
     try:
+        doc = _keys("", doc, ("d", "workers", "bits", "seed", "dist", "variants",
+                              "common_weight", "outlier_count", "outlier_ratio"))
         d = check_int("d", doc.get("d", 100_000), 1)
         workers = check_int("workers", doc.get("workers", 8), 1)
         bits = check_int("bits", doc.get("bits", 8), 1, 32)
         seed = check_int("seed", doc.get("seed", 0), 0)
         dist = doc.get("dist", "laplace_with_outliers")
         variants = doc.get("variants", list(BENCH_VARIANTS))
+        if not isinstance(variants, list):
+            raise ConfigError(f"variants must be a list of names: {variants!r}")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         updates = make_worker_updates(
             workers, d, dist, rng,
-            common_weight=float(doc.get("common_weight", 1.0)),
-            outlier_count=check_int("outlier_count",
-                                    doc.get("outlier_count", 4), 0),
-            outlier_ratio=float(doc.get("outlier_ratio", 1e3)))
+            common_weight=check_real("common_weight", doc.get("common_weight", 1.0)),
+            outlier_count=check_int("outlier_count", doc.get("outlier_count", 4), 0),
+            outlier_ratio=check_real("outlier_ratio", doc.get("outlier_ratio", 1e3)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid quant-bench config: {exc}") from exc
     return quant_bench(updates, bits, seed=seed, variants=variants)

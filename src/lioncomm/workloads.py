@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .optimizer import ParamSet
 
 
@@ -112,10 +112,12 @@ class NoiseSpec:
     per_client_seed: int = 0
 
     def __post_init__(self):
+        for name in ("levy_alpha", "scale"):
+            check_real(name, getattr(self, name))
         if not (0.0 < self.levy_alpha <= 2.0):
             raise ConfigError(f"levy_alpha must be in (0, 2], got {self.levy_alpha}")
         if self.scale < 0:
-            raise ConfigError("noise scale must be >= 0")
+            raise ConfigError(f"scale must be >= 0, got {self.scale}")
         check_int("per_client_seed", self.per_client_seed, 0)
 
 

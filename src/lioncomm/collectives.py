@@ -22,13 +22,25 @@ for a total), down to 2- and 4-bit ``quant.pack_ints`` fields; ``ps``
 sends and returns a full-precision (float) vote as float64 words.  Every
 frame is bare and built by one constructor, ``_frame``: little-endian lane
 or float words, packed fields, or ``quant.pack`` sign bits (the 1-bit
-stage-2 frame puts a 4-byte tie count in front).  Every rooted phase is one
+stage-2 frame, a 4-byte tie count and then sign bits, is written by the
+vote's combine and carried as bytes).  Every rooted phase is one
 walk of one tree (``_tree``: ``_reduce`` up, ``_broadcast`` down), every
 all-to-all and allgather phase is one loop, ``_exchange``, and input checks
 run before the first send.  ``direct`` and the 1-bit vote run one
 reduce-scatter/allgather, ``_chunked``, and differ only in the frame each
 phase sends and in how a rank combines the P copies of its chunk: a sum in
-the sum lane, or a majority sign and its tie count.
+the sum lane, or a majority sign and its tie count.  Each phase encodes
+once and decodes once: a rank's chunks are the rows of one array, its
+peers' rows are encoded as one block and each peer is sent its slice, and
+the P-1 frames a rank receives are decoded together from their
+concatenation (``_frame`` codes a block of rows, each packed row starting
+on a byte boundary).  ``direct`` keeps chunks of ceil(N/P) values; the
+1-bit chunk is rounded up to whole bytes, 8*ceil(ceil(N/P)/8) values, so
+the allgathered voted chunks are one bit string in rank order.  That
+changes no frame's length: ceil(8*ceil(c/8)/8) = ceil(c/8) bytes for
+c = ceil(N/P), plus 4 for the stage-2 tie count.  It moves only which
+columns a rank votes on, and the clear padding bits of a chunk's last
+byte become +1 pad columns, which are never ties.
 ``Topology.recv`` is the one lockstep check: a frame of the wrong
 generation, tag or byte length raises ``CollectiveError`` naming the
 sender, generation and phase, and a peer that never sends raises one after
@@ -110,68 +122,99 @@ class VoteResult:
 
 
 def _frame(kind, count: int):
-    """(encode, decode, size) of a frame of ``count`` values: sign bits
+    """(encode, decode, size) of frames of ``count`` values: sign bits
     (``quant.pack``) for kind 1, signed ``kind``-bit lane integers for kind
     2 to 32 (``quant.pack_ints`` fields below 8 bits, little-endian lane
-    words from 8 up), little-endian words for a float dtype kind.  Word
-    frames decode to a writable array, copying only a read-only payload
-    (in-process bytes) or a foreign byte order: socket payloads are the
-    receiver's own.  ``pack`` and ``unpack`` are looked up in this module
-    at each call, so a wrapper installed on it sees every one."""
-    if kind == 1:
-        return (lambda a: pack(a), lambda b: unpack(b, count),
-                (count + 7) // 8)
-    if kind in (2, 4):
-        return (lambda a: pack_ints(a, kind),
-                lambda b: unpack_ints(b, count, kind), (count * kind + 7) // 8)
+    words from 8 up), little-endian words for a numpy dtype kind.
+    ``encode`` takes one row of values or a block of rows and returns their
+    frames back to back, ``size`` bytes each: a packed row starts on a
+    byte boundary.  ``decode(payload, rows)`` reads ``rows`` such frames
+    into a (rows, count) block, or one frame into a vector when ``rows``
+    is None.  Word frames decode to a writable array, copying only a
+    read-only payload (in-process bytes) or a foreign byte order: socket
+    payloads and joined blocks are the receiver's own.  ``pack`` and
+    ``unpack`` are looked up in this module at each call, so a wrapper
+    installed on it sees every one."""
+    if kind in (1, 2, 4):
+        per = 8 // kind  # fields per byte
+        width = -(-count // per) * per  # a row's fields, padding included
+        if kind == 1:
+            encode = lambda a: pack(a)
+            fields = lambda b, n: unpack(b, n)
+        else:
+            encode = lambda a: pack_ints(a, kind)
+            fields = lambda b, n: unpack_ints(b, n, kind)
+
+        def decode(b, rows=None):
+            if rows is None:
+                return fields(b, count)
+            return fields(b, rows * width).reshape(rows, width)[:, :count]
+
+        return encode, decode, width // per
     dtype = np.dtype(LANE_DTYPES.get(kind, kind))
     wire = dtype.newbyteorder("<")
 
-    def decode(b):
+    def decode(b, rows=None):
         view = np.frombuffer(b, dtype=wire)
+        if rows is not None:
+            view = view.reshape(rows, count)
         return view.astype(dtype, copy=not view.flags.writeable)
 
     return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(), decode,
             count * dtype.itemsize)
 
 
-def _exchange(topo: Topology, tag: int, gen: int, payloads, frame,
-              own) -> list:
-    """Send ``payloads[j]`` to every rank j but this one and receive one
-    ``frame`` = (encode, decode, size) from each in rank order.  Returns
-    every rank's value in rank order: ``own`` in this rank's slot, the
-    others decoded once all frames are in."""
+def _exchange(topo: Topology, tag: int, gen: int, payloads, frame):
+    """Pairwise exchange: send ``payloads[i - 1]`` to rank (r + i) mod P for
+    i = 1, ..., P-1 (r this rank) and receive one ``frame`` = (encode,
+    decode, size) from each of those ranks, in the same order.  Returns the
+    P-1 frames decoded at once, from their concatenation, as a block of
+    rows in that order."""
     _, decode, size = frame
-    peers = [j for j in range(topo.world_size) if j != topo.rank]
-    for j in peers:
-        topo.send(j, tag, payloads[j], gen)
-    got = [topo.recv(j, tag, gen, size) for j in peers]
-    values = [decode(b) for b in got]
-    values.insert(topo.rank, own)
-    return values
-
-
-def _chunked(vec: np.ndarray, topo: Topology, fill, first, combine,
-             second) -> list:
-    """Reduce-scatter, then allgather: ``vec`` is padded with ``fill`` to P
-    chunks of c values, rank j receives chunk j of every rank in the frame
-    ``first(c)`` and ``combine``s the P chunks (a list in rank order, its
-    own in its slot) into one value, and every rank receives each rank's
-    combined value in the frame ``second(c)``.  Returns the P combined
-    values in rank order."""
     p, r = topo.world_size, topo.rank
-    c = -(-vec.size // p)  # ceil
-    chunks = np.full((p, c), fill, dtype=vec.dtype)
-    chunks.reshape(-1)[:vec.size] = vec
+    peers = [(r + i) % p for i in range(1, p)]
+    for j, payload in zip(peers, payloads):
+        topo.send(j, tag, payload, gen)
+    got = bytearray().join([topo.recv(j, tag, gen, size) for j in peers])
+    return decode(got, p - 1)
+
+
+def _cut(payload: bytes, size: int, k: int) -> list:
+    """``k`` consecutive ``size``-byte views of ``payload``, not copies: each
+    peer's frame of an encoded block.  Nothing else holds the block, so it
+    is freed once the last peer has read its frame."""
+    view = memoryview(payload)
+    return [view[i * size:(i + 1) * size] for i in range(k)]
+
+
+def _chunked(vec: np.ndarray, topo: Topology, fill, first, combine, second,
+             unit: int = 1) -> np.ndarray:
+    """Reduce-scatter, then allgather: ``vec`` is padded with ``fill`` to P
+    chunks of c values, ceil(N/P) rounded up to a multiple of ``unit``.
+    Rank j receives chunk j of every other rank, all in one block of
+    ``first(c)`` frames, and ``combine``s its own chunk with that block
+    into one row; every rank then receives each other rank's row in the
+    frame ``second(c)``.  Each phase encodes once and decodes once.
+    Returns the P rows in rank order, as one array."""
+    p, r = topo.world_size, topo.rank
+    c = -(-vec.size // (p * unit)) * unit
+    # Row i is chunk (r + i) mod P: this rank's own, then the chunks of its
+    # peers in ``_exchange``'s order, so theirs encode as one block.
+    rows = np.full((p, c), fill, dtype=vec.dtype)
+    flat, own = rows.reshape(-1), r * c
+    head, tail = vec[own:], vec[:own]
+    flat[:head.size] = head
+    flat[(p - r) * c:][:tail.size] = tail
     gen = topo.next_generation()
     frame = first(c)
-    parts = _exchange(topo, TAG_ALLTOALL, gen,
-                      [None if j == r else frame[0](chunks[j])
-                       for j in range(p)], frame, chunks[r])
-    mine = combine(parts)
+    # The received block is freed as soon as it is combined.
+    mine = combine(rows[0], _exchange(topo, TAG_ALLTOALL, gen, _cut(
+        frame[0](rows[1:]), frame[2], p - 1), frame))
     frame = second(c)
-    return _exchange(topo, TAG_ALLGATHER, gen, [frame[0](mine)] * p, frame,
-                     mine)
+    block = _exchange(topo, TAG_ALLGATHER, gen, [frame[0](mine)] * (p - 1),
+                      frame)
+    # The block's rows are ranks r + 1, ..., P - 1, then 0, ..., r - 1.
+    return np.concatenate([block[p - 1 - r:], mine[None], block[:p - 1 - r]])
 
 
 def _tree(rank: int, p: int, binomial: bool):
@@ -300,17 +343,15 @@ def direct_allreduce(q_i, topo: Topology, q_max: int | None,
     sum_bits = _lane(q, topo.world_size, q_max, lane_bits)
     own_bits = choose_lane_bits(1, q_max)
 
-    def combine(parts):
+    def combine(own, block):
         # Overflow is ruled out by the capacity check above.
-        total = parts.pop().astype(LANE_DTYPES[sum_bits])
-        for part in parts:
-            total += part
+        total = np.add.reduce(block, axis=0, dtype=LANE_DTYPES[sum_bits])
+        total += own
         return total
 
-    summed = np.concatenate(_chunked(
-        q.astype(LANE_DTYPES[own_bits], copy=False), topo, 0,
-        lambda c: _frame(own_bits, c), combine,
-        lambda c: _frame(sum_bits, c)))[:q.size]
+    summed = _chunked(q.astype(LANE_DTYPES[own_bits], copy=False), topo, 0,
+                      lambda c: _frame(own_bits, c), combine,
+                      lambda c: _frame(sum_bits, c)).reshape(-1)[:q.size]
     return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
 
 
@@ -333,22 +374,21 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
     s = apply_sign(np.asarray(c_i, dtype=np.float64).ravel(), policy)
     sum_dtype = LANE_DTYPES[choose_lane_bits(topo.world_size, 1)]
 
-    def combine(parts):
-        chunk_sum = np.sum(np.stack(parts), axis=0, dtype=sum_dtype)
+    def combine(own, block):
+        chunk_sum = np.add.reduce(block, axis=0, dtype=sum_dtype)
+        chunk_sum += own
         ties = int(np.count_nonzero(chunk_sum == 0))
-        return ties, apply_sign(chunk_sum, policy)
+        # The stage-2 frame: a <u4 tie count, then the voted chunk's bits.
+        return np.frombuffer(ties.to_bytes(4, "little")
+                             + pack(apply_sign(chunk_sum, policy)), np.uint8)
 
-    def voted(c):
-        # A <u4 tie count, then the voted chunk's sign bits.
-        encode, decode, size = _frame(1, c)
-        return (lambda tv: tv[0].to_bytes(4, "little") + encode(tv[1]),
-                lambda b: (int.from_bytes(b[:4], "little"), decode(b[4:])),
-                4 + size)
-
-    # Pad with +1: a padded column is never a tie.
-    ties, signs = zip(*_chunked(s, topo, 1, lambda c: _frame(1, c), combine,
-                                voted))
-    return VoteResult(values=np.concatenate(signs)[:s.size], ties=sum(ties))
+    # Pad with +1: a padded column is never a tie.  Chunks are whole bytes,
+    # so the P voted chunks' bits are one bit string in rank order.
+    voted = _chunked(s, topo, 1, lambda c: _frame(1, c), combine,
+                     lambda c: _frame(np.uint8, 4 + c // 8), unit=8)
+    bits = voted[:, 4:].tobytes()
+    return VoteResult(values=unpack(bits, 8 * len(bits))[:s.size],
+                      ties=int(voted[:, :4].copy().view("<u4").sum()))
 
 
 def majority_sign(agg, policy: SignPolicy) -> np.ndarray:
@@ -377,9 +417,11 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
 def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
     """Every rank returns [x_0, ..., x_{P-1}] in rank order."""
     vec = np.asarray(x, dtype=np.float64).ravel()
+    p, r = topo.world_size, topo.rank
     frame = _frame(np.float64, vec.size)
-    return _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
-                     [frame[0](vec)] * topo.world_size, frame, vec)
+    block = _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
+                      [frame[0](vec)] * (p - 1), frame)
+    return [vec if j == r else block[(j - r - 1) % p] for j in range(p)]
 
 
 def run_ranks(world_size: int, fn, transport: Transport | None = None,

@@ -32,7 +32,8 @@ import numpy as np
 from . import collectives as coll
 from .collectives import Topology, VoteResult
 from .errors import ConfigError, check_int, check_real
-from .quant import BLOCK, QuantSpec, SignPolicy, blocks, pooled, vote_input
+from .quant import (BLOCK, INF, QuantSpec, SignPolicy, blocks, pooled,
+                    vote_input)
 
 ParamSet = dict[str, np.ndarray]
 
@@ -62,10 +63,11 @@ class LionHyper:
             check_real(name, getattr(self, name))
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must be strictly inside (0, 1)")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 < self.lr < INF:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < INF:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got "
+                              f"{self.weight_decay}")
 
     def lr_at(self, t: int) -> float:  # the benchmark's reference reads lr here
         return self.lr

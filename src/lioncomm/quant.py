@@ -9,6 +9,8 @@ spec, in [-qmax, qmax], and ``choose_lane_bits`` which signed lane
 {-1, +1} sign vectors into bare ``np.packbits(..., bitorder="little")``
 bytes for the 1-bit wire; ``pack_ints``/``unpack_ints`` do the same for
 signed 2- and 4-bit integer fields, the sub-byte lanes of the integer votes.
+Both packers take a 2-D block too and pack it row by row, each row to
+whole bytes, so one call encodes a collective phase's frames back to back.
 
 The sign path stays in narrow dtypes: ``apply_sign``, ``unpack`` and
 ``unpack_ints`` return int8, and ``quantize`` returns the narrowest signed
@@ -298,15 +300,31 @@ def vote_input(c: np.ndarray, spec: QuantSpec | None, policy: SignPolicy,
     return quantize(c, spec, rng=rng)
 
 
+def _rows(values) -> np.ndarray:
+    """``values`` as a block of rows: a 2-D array as it is, anything else
+    as one row."""
+    a = np.asarray(values)
+    return a if a.ndim == 2 else a.reshape(1, -1)
+
+
 def pack(signs: np.ndarray) -> bytes:
     """Bare sign bits of a {-1, +1} vector: +1 is a set bit, element 0 the
-    low bit of byte 0, ceil(n/8) bytes with no header."""
-    signs = np.asarray(signs).ravel()
+    low bit of byte 0, ceil(n/8) bytes with no header.  A 2-D block packs
+    row by row, each row to whole bytes; an error's index is in the
+    flattened block."""
+    signs = _rows(signs)
     bad = np.abs(signs) != 1
     if bad.any():
         i = int(np.argmax(bad))
-        raise PackRangeError(i, signs[i].item())
-    return np.packbits(signs > 0, bitorder="little").tobytes()
+        raise PackRangeError(i, signs.flat[i].item())
+    return np.packbits(signs > 0, axis=-1, bitorder="little").tobytes()
+
+
+# Byte value -> its eight signs, low bit first: one table row per payload
+# byte is a single numpy call, where unpacking the bits and mapping them to
+# +-1 takes three.
+_BYTE_SIGNS = 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                axis=1, bitorder="little").view(np.int8) - 1
 
 
 def unpack(payload, count: int) -> np.ndarray:
@@ -319,9 +337,8 @@ def unpack(payload, count: int) -> np.ndarray:
         raise PackFormatError(
             f"payload is {len(payload)} bytes, expected {expected} "
             f"for {count} signs")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count,
-                         bitorder="little")
-    return 2 * bits.view(np.int8) - 1
+    return _BYTE_SIGNS.take(np.frombuffer(payload, dtype=np.uint8),
+                            axis=0).reshape(-1)[:count]
 
 
 # Signed lane width -> the dtype its values are summed in.  The 2- and
@@ -343,20 +360,23 @@ def choose_lane_bits(workers: int, q_max: int) -> int:
 def pack_ints(values: np.ndarray, bits: int) -> bytes:
     """Bare ``bits``-wide two's-complement fields (``bits`` 2 or 4) of an
     integer vector in [-2^(bits-1), 2^(bits-1) - 1]: element 0 in the low
-    bits of byte 0, ceil(n*bits/8) bytes with the padding bits clear."""
+    bits of byte 0, ceil(n*bits/8) bytes with the padding bits clear.  A
+    2-D block packs row by row, each row to whole bytes, as ``pack``."""
     if bits not in (2, 4):
         raise ConfigError(f"packed integer fields are 2 or 4 bits, not {bits}")
-    a = np.asarray(values).ravel()
+    a = _rows(values)
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     if a.size and (a.min() < lo or a.max() > hi):
         i = int(np.argmax((a < lo) | (a > hi)))
-        raise PackRangeError(i, a[i].item(), f"a {bits}-bit field ({lo}..{hi})")
+        raise PackRangeError(i, a.flat[i].item(),
+                             f"a {bits}-bit field ({lo}..{hi})")
     per = 8 // bits
-    fields = np.zeros(-(-a.size // per) * per, dtype=np.uint8)
-    np.bitwise_and(a, (1 << bits) - 1, out=fields[:a.size], casting="unsafe")
+    rows, n = a.shape
+    fields = np.zeros((rows, -(-n // per) * per), dtype=np.uint8)
+    np.bitwise_and(a, (1 << bits) - 1, out=fields[:, :n], casting="unsafe")
     # One field per byte; whole-word shifts gather each word's ``per``
     # fields into its low byte (a 4-byte word at 2 bits, 2 bytes at 4).
-    words = fields.view("<u4" if bits == 2 else "<u2")
+    words = fields.reshape(-1).view("<u4" if bits == 2 else "<u2")
     for k in range(per.bit_length() - 1):
         words |= words >> ((8 - bits) << k)
     return words.astype(np.uint8).tobytes()

@@ -370,12 +370,13 @@ def run_quant_bench(doc: dict) -> list[dict]:
         variants = doc.get("variants", list(BENCH_VARIANTS))
         if not isinstance(variants, list):
             raise ConfigError(f"variants must be a list of names: {variants!r}")
+        # Only the keys given: an omitted one takes its parameter default.
+        shape = {key: check(key, doc[key]) for key, check in (
+            ("common_weight", check_real),
+            ("outlier_count", lambda key, n: check_int(key, n, 0)),
+            ("outlier_ratio", check_real)) if key in doc}
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        updates = make_worker_updates(
-            workers, d, dist, rng,
-            common_weight=check_real("common_weight", doc.get("common_weight", 1.0)),
-            outlier_count=check_int("outlier_count", doc.get("outlier_count", 4), 0),
-            outlier_ratio=check_real("outlier_ratio", doc.get("outlier_ratio", 1e3)))
+        updates = make_worker_updates(workers, d, dist, rng, **shape)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid quant-bench config: {exc}") from exc
     return quant_bench(updates, bits, seed=seed, variants=variants)

@@ -3,7 +3,10 @@ frames in order per ordered rank pair, which is all the lockstep
 collectives require.
 
 * ``InprocTransport`` -- ranks run as threads of one process and send into
-  one FIFO per ordered rank pair.  This is the default for tests.
+  one FIFO per ordered rank pair, a ``queue.SimpleQueue``, whose put and
+  get run in C: at small N a vote is mostly messages, and ``queue.Queue``
+  spends several Python-level lock and condition calls on each.  This is
+  the default for tests.
 * ``SocketTransport`` -- a TCP mesh.  Rank i listens on base_port + i; for
   each pair the higher rank connects and sends its rank as a 4-byte header.
   A frame is an 8-byte generation, 4-byte source rank, 4-byte tag and
@@ -59,14 +62,20 @@ class InprocTransport(Transport):
             raise ConfigError("world_size must be >= 1")
         self.world_size = world_size
         self._queues = {
-            (s, d): queue.Queue()
+            (s, d): queue.SimpleQueue()
             for s in range(world_size)
             for d in range(world_size)
             if s != d
         }
 
     def send(self, src, dst, generation, tag, payload):
-        self._queues[(src, dst)].put((generation, tag, bytes(payload)))
+        # A view of immutable bytes (a peer's slice of an encoded block) is
+        # queued as it is; anything else is copied, as the sender may reuse
+        # its buffer.
+        if not (isinstance(payload, memoryview)
+                and isinstance(payload.obj, bytes)):
+            payload = bytes(payload)
+        self._queues[(src, dst)].put((generation, tag, payload))
 
     def recv(self, dst, src, generation, tag, timeout):
         try:

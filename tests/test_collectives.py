@@ -396,6 +396,94 @@ class TestCompressed1Bit:
             assert r.tolist() == [-1, -1]
 
 
+class FrameRecorder:
+    """Mixin for a transport: records (source, tag, byte length) of every
+    frame sent."""
+
+    def send(self, src, dst, generation, tag, payload):
+        self.frames.append((src, tag, len(payload)))
+        super().send(src, dst, generation, tag, payload)
+
+
+class RecordingInproc(FrameRecorder, InprocTransport):
+    def __init__(self, world_size):
+        super().__init__(world_size)
+        self.frames = []
+
+
+class RecordingSocket(FrameRecorder, SocketTransport):
+    def __init__(self, frames, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.frames = frames
+
+
+EDGE_SIZES = [0, 1, 7, 8, 9, 63, 64, 65, 577, 4099]
+
+
+class TestOneBitByteAndChunkEdges:
+    """The 1-bit vote at sizes around whole bytes and whole chunks: chunks
+    are rounded up to whole bytes, so every frame must keep the length of a
+    ceil(N/P)-sign chunk (``tests/test_traffic.py``'s literals)."""
+
+    @staticmethod
+    def check(world, n, run):
+        rng = np.random.default_rng(1000 * world + n)
+        # Exact zeros, so the alternating policy fills them, and even P ties.
+        cs = [rng.integers(-1, 2, size=n) * rng.random(n)
+              for _ in range(world)]
+        policy = SignPolicy("alternating", iteration=1 + (world + n) % 2)
+        fill = policy.zero_fill()
+        agg = np.sum([np.where(c == 0, fill, np.sign(c)) for c in cs],
+                     axis=0, dtype=np.int64).reshape(n)
+        expect = np.where(agg == 0, fill, np.sign(agg))
+        results, frames = run(lambda topo: compressed_allreduce_1bit(
+            cs[topo.rank], topo, policy))
+        for r in results:
+            assert r.values.dtype == np.int8
+            assert np.array_equal(r.values, expect)
+            assert r.ties == int(np.count_nonzero(agg == 0))
+        bits = -(-(-(-n // world)) // 8)
+        assert sorted(frames) == sorted(
+            (src, tag, size) for src in range(world)
+            for tag, size in ((5, bits), (8, 4 + bits))
+            for _ in range(world - 1))
+
+    @pytest.mark.parametrize("world", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_inproc(self, world, n):
+        def run(fn):
+            transport = RecordingInproc(world)
+            return run_ranks(world, fn, transport=transport), transport.frames
+        self.check(world, n, run)
+
+    @pytest.mark.parametrize("world", [2, 3])
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_sockets(self, world, n):
+        def run(fn):
+            frames, port = [], free_base_port(world)
+            return run_ranks(world, fn, transport_factory=lambda r: (
+                RecordingSocket(frames, world, r, base_port=port))), frames
+        self.check(world, n, run)
+
+
+@pytest.mark.parametrize("world", [2, 3])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_direct_sign_votes_in_unaligned_sub_byte_chunks(world, n):
+    # Own signs ride 2-bit fields and their sums 4-bit ones; chunks of 2 or
+    # 3 values fill no whole byte, and at P=3 a block holds two of them.
+    rng = np.random.default_rng(n)
+    signs = [rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+             for _ in range(world)]
+    transport = RecordingInproc(world)
+    results = run_ranks(world, lambda topo: direct_allreduce(
+        signs[topo.rank], topo, q_max=1).values, transport=transport)
+    for values in results:
+        assert np.array_equal(values, sum_oracle(signs))
+    c = -(-n // world)
+    assert {size for _, _, size in transport.frames} == {
+        -(-c * 2 // 8), -(-c * 4 // 8)}
+
+
 class TestCompressedMatchesPsSignVote:
     """The 1-bit vote equals the ``ps`` sign vote and a numpy oracle."""
 

@@ -6,6 +6,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from lioncomm import cli, runner
@@ -35,6 +36,9 @@ def train(tmp_path, doc, name="cfg"):
       "quant": {"kind": "lp", "bitz": 4}}, "quant.bitz"),
     ({"train": {**SMALL, "lr": True}}, "train.lr"),
     ({"train": {**SMALL, "weight_decay": True}}, "train.weight_decay"),
+    ({"train": {**SMALL, "lr": float("inf")}}, "train.lr"),
+    ({"train": {**SMALL, "weight_decay": float("inf")}},
+     "train.weight_decay"),
     ({"train": SMALL, "quant": {"norm_p": True}}, "quant.norm_p"),
     ({"train": SMALL, "noise": {"levy_alpha": True}}, "noise.levy_alpha"),
     ({"train": SMALL, "quant": {"no_zero": "false"}}, "quant.no_zero"),
@@ -42,7 +46,8 @@ def train(tmp_path, doc, name="cfg"):
      "quant.log_transform"),
 ], ids=["train.stepz", "quant.bitz", "metric_every", "sync.every",
         "sign-with-bits", "none-with-bits", "compressed1bit-bad-quant",
-        "lr-bool", "weight-decay-bool", "norm-p-bool", "levy-alpha-bool",
+        "lr-bool", "weight-decay-bool", "lr-infinite",
+        "weight-decay-infinite", "norm-p-bool", "levy-alpha-bool",
         "no-zero-string", "log-transform-string"])
 def test_unknown_key_or_mistyped_value_exits_2_naming_its_path(
         tmp_path, capsys, doc, key):
@@ -130,3 +135,24 @@ def test_a_config_that_is_not_an_object_exits_2(tmp_path, command):
     path.write_text("[1]")
     assert cli.main([command, "--config", str(path), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
+def test_quant_bench_passes_only_the_shape_keys_it_is_given(monkeypatch):
+    # An omitted key runs make_worker_updates' own parameter default.
+    seen = []
+    original = runner.make_worker_updates
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "make_worker_updates", spy)
+    base = {"d": 64, "workers": 3, "variants": ["q1"]}
+    omitted = runner.run_quant_bench(base)
+    runner.run_quant_bench({**base, "outlier_count": 2})
+    assert seen == [{}, {"outlier_count": 2}]
+    explicit = runner.quant_bench(original(
+        3, 64, "laplace_with_outliers",
+        np.random.default_rng(np.random.SeedSequence([0, 7]))), 8,
+        variants=["q1"])
+    assert omitted == explicit

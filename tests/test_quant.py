@@ -558,6 +558,22 @@ class TestPackInts:
             assert pack_ints(v, bits) == _column_pack_ints(v, bits), n
             assert pack_ints(v.astype(np.int8), bits) == pack_ints(v, bits)
 
+    @pytest.mark.parametrize("bits", [1, 2, 4])
+    def test_a_block_packs_row_by_row(self, bits):
+        # A collective phase encodes its frames as one block: each row must
+        # pack to the bytes it packs to alone, however few values it holds.
+        rng = np.random.default_rng(bits)
+        lo, hi = (-1, 1) if bits == 1 else (-(1 << (bits - 1)),
+                                            (1 << (bits - 1)) - 1)
+        for n in range(10):
+            block = rng.integers(lo, hi + 1, size=(3, n)).astype(np.int8)
+            if bits == 1:
+                block[block == 0] = 1
+                assert pack(block) == b"".join(pack(row) for row in block)
+            else:
+                assert pack_ints(block, bits) == b"".join(
+                    pack_ints(row, bits) for row in block)
+
     @pytest.mark.parametrize("bits,values,index", [
         (2, [1, -2, 2], 2), (2, [-3], 0), (4, [7, 8], 1), (4, [0, -9, 9], 1)])
     def test_out_of_range_reports_index(self, bits, values, index):

@@ -15,23 +15,24 @@ spec, in the narrowest lane that holds them; real vectors for the 1-bit
 vote), so both sides are called the same way whatever their
 collectives' signatures; then ``allreduce_mean_f32`` and
 ``allgather_f64``.  A side's figure for a collective and N is the median
-of rank 0's per-call wall time over its repetitions.  The defaults, P=4
-and 8-bit values, run the 8- and 16-bit lanes; ``--world 2 --bits 1`` is
-the shape of the benchmark's ``wire`` workload, whose sign votes ride the
-2- and 4-bit lanes.
+over its repetitions of the thread CPU time summed over ranks
+(``time.thread_time``), which waits and hand-offs do not touch.  The
+defaults, P=4 and 8-bit values, run the 8- and 16-bit lanes;
+``--world 2 --bits 1`` is the shape of the benchmark's ``wire`` workload,
+whose sign votes ride the 2- and 4-bit lanes.
 
 The table gives, per collective and N, the median over pairs of each
 side's figure in microseconds, the parent's quartiles over pairs, the
-change/parent ratio of the medians, and in how many pairs the change
-was faster.
+median over pairs of each side's rank 0 wall time per call, the
+change/parent ratio of the CPU medians, and in how many pairs the change
+used less CPU.
 
 ``--step`` times one whole ``optimizer.distributed_lion_step`` per vote
 algorithm instead, on one layer of N parameters from a fixed state: the
 benchmark's ``bulk`` spec (L-inf, stochastic rounding) at ``--bits`` >= 2,
-sign votes at ``--bits 1``.  There a side's figure is the median over
-steps of the thread CPU time summed over ranks (``time.thread_time``),
-which waits and hand-offs do not touch.  Rank 0's median wall time and the
-median minor page faults per step, summed over ranks
+sign votes at ``--bits 1``, scored by thread CPU time in the same way.
+Rank 0's median wall time and the median minor page faults per step,
+summed over ranks
 (``getrusage(RUSAGE_THREAD).ru_minflt``, Linux), are printed next to it:
 a step that allocates fresh memory pays for the kernel zeroing its pages.
 """
@@ -129,7 +130,7 @@ def worker(src: str, sizes: list[int], world: int, bits: int,
             call = calls[name]
             out[f"{name}/{n}"] = time_ranks(
                 world, lambda topo: call(xs[topo.rank], qs[topo.rank], topo),
-                reps_for(n))[1]
+                reps_for(n))
     return out
 
 
@@ -174,6 +175,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
+def compare(runs: dict, key: str, field: int, pairs: int):
+    """(parent q1, parent median, parent q3, change median, change wins)
+    over pairs of one figure of one row."""
+    old = [r[key][field] for r in runs["parent"]]
+    new = [r[key][field] for r in runs["change"]]
+    q1, med_old, q3 = quartiles(old)
+    wins = sum(b < a for a, b in zip(old, new))
+    return q1, med_old, q3, quartiles(new)[1], f"{wins}/{pairs}"
+
+
 def print_steps(args, runs: dict):
     """The ``--step`` table: thread CPU summed over ranks, rank 0 wall,
     minor faults summed over ranks."""
@@ -187,20 +198,33 @@ def print_steps(args, runs: dict):
     for n in args.n:
         for algo in VOTES:
             key = f"{algo}/{n}"
-            old = [r[key][0] for r in runs["parent"]]
-            new = [r[key][0] for r in runs["change"]]
-            q1, med_old, q3 = quartiles(old)
-            med_new = quartiles(new)[1]
-            wins = sum(b < a for a, b in zip(old, new))
-            wall_old = quartiles([r[key][1] for r in runs["parent"]])[1]
-            wall_new = quartiles([r[key][1] for r in runs["change"]])[1]
-            flt_old = quartiles([r[key][2] for r in runs["parent"]])[1]
-            flt_new = quartiles([r[key][2] for r in runs["change"]])[1]
+            q1, med_old, q3, med_new, wins = compare(runs, key, 0, args.pairs)
+            _, wall_old, _, wall_new, _ = compare(runs, key, 1, args.pairs)
+            _, flt_old, _, flt_new, _ = compare(runs, key, 2, args.pairs)
             print(f"{algo:<16}{n:>9}{med_old:>15.1f}"
                   f"{f'{q1:.1f}-{q3:.1f}':>20}{med_new:>15.1f}"
-                  f"{med_new / med_old:>8.3f}{f'{wins}/{args.pairs}':>8}"
+                  f"{med_new / med_old:>8.3f}{wins:>8}"
                   f"{wall_old:>16.1f}{wall_new:>16.1f}"
                   f"{flt_old:>15.1f}{flt_new:>15.1f}")
+
+
+def print_collectives(args, runs: dict):
+    """The per-collective table: thread CPU summed over ranks, and rank 0
+    wall time beside it."""
+    print(f"P={args.world}, {args.bits}-bit values, in-process, one core per "
+          f"side, {args.pairs} pairs; {os.cpu_count()} cores on this host")
+    print(f"{'collective':<20}{'N':>9}{'parent_cpu_us':>15}"
+          f"{'parent_q1-q3':>20}{'change_cpu_us':>15}{'parent_wall_us':>16}"
+          f"{'change_wall_us':>16}{'ratio':>8}{'wins':>8}")
+    for n in args.n:
+        for name in COLLECTIVES:
+            key = f"{name}/{n}"
+            q1, med_old, q3, med_new, wins = compare(runs, key, 0, args.pairs)
+            _, wall_old, _, wall_new, _ = compare(runs, key, 1, args.pairs)
+            print(f"{name:<20}{n:>9}{med_old:>15.1f}"
+                  f"{f'{q1:.1f}-{q3:.1f}':>20}{med_new:>15.1f}"
+                  f"{wall_old:>16.1f}{wall_new:>16.1f}"
+                  f"{med_new / med_old:>8.3f}{wins:>8}")
 
 
 def main(argv=None) -> int:
@@ -240,25 +264,7 @@ def main(argv=None) -> int:
         for side in order:
             runs[side].append(run_side(getattr(args, side), args.n,
                                        args.world, args.bits, args.step))
-    if args.step:
-        print_steps(args, runs)
-        return 0
-
-    print(f"P={args.world}, {args.bits}-bit values, in-process, one core per "
-          f"side, {args.pairs} pairs; {os.cpu_count()} cores on this host")
-    print(f"{'collective':<20}{'N':>9}{'parent_us':>12}{'parent_q1-q3':>20}"
-          f"{'change_us':>12}{'ratio':>8}{'wins':>8}")
-    for n in args.n:
-        for name in COLLECTIVES:
-            key = f"{name}/{n}"
-            old = [r[key] for r in runs["parent"]]
-            new = [r[key] for r in runs["change"]]
-            q1, med_old, q3 = quartiles(old)
-            med_new = quartiles(new)[1]
-            wins = sum(b < a for a, b in zip(old, new))
-            print(f"{name:<20}{n:>9}{med_old:>12.1f}"
-                  f"{f'{q1:.1f}-{q3:.1f}':>20}{med_new:>12.1f}"
-                  f"{med_new / med_old:>8.3f}{f'{wins}/{args.pairs}':>8}")
+    (print_steps if args.step else print_collectives)(args, runs)
     return 0
 
 

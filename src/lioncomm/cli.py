@@ -39,7 +39,9 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.world is not None:
-        doc.setdefault("train", {})["clients"] = args.world
+        doc["train"] = {**runner._keys("train", doc.get("train", {}),
+                                       runner.TRAIN_KEYS),
+                        "clients": args.world}
     cfg = runner.RunConfig.from_dict(doc)
     out = args.out or "out"
     runner.run_training(cfg, out_dir=out, transport=args.transport,

@@ -54,6 +54,7 @@ parameter hash check still catches ranks that end up different.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,7 @@ class VoteResult:
     ties: int = 0
 
 
+@functools.lru_cache(maxsize=256)
 def _frame(kind, count: int):
     """(encode, decode, size) of frames of ``count`` values: sign bits
     (``quant.pack``) for kind 1, signed ``kind``-bit lane integers for kind
@@ -132,9 +134,11 @@ def _frame(kind, count: int):
     into a (rows, count) block, or one frame into a vector when ``rows``
     is None.  Word frames decode to a writable array, copying only a
     read-only payload (in-process bytes) or a foreign byte order: socket
-    payloads and joined blocks are the receiver's own.  ``pack`` and
-    ``unpack`` are looked up in this module at each call, so a wrapper
-    installed on it sees every one."""
+    payloads and joined blocks are the receiver's own.  Cached per
+    ``(kind, count)``, since a run frames the same few shapes at every
+    step; the codecs (``pack``, ``unpack`` and their ``_ints`` pair) are
+    still looked up in this module at each call, so a wrapper installed on
+    it sees every one."""
     if kind in (1, 2, 4):
         per = 8 // kind  # fields per byte
         width = -(-count // per) * per  # a row's fields, padding included

@@ -85,10 +85,16 @@ class QuantSpec:
         check_bool("log_transform", self.log_transform)
         check_bool("no_zero", self.no_zero)
 
-    @property
+    @functools.cached_property
     def qmax(self) -> int:
         """Vote range [-qmax, qmax]: 2^(bits-1) - 1, or 1 for signs."""
         return max(1, 2 ** (self.bits - 1) - 1)
+
+    @property
+    def draws(self) -> bool:
+        """Whether ``vote_input`` can draw from its generator under this spec:
+        only stochastic rounding does, and a 1-bit spec votes signs."""
+        return self.bits > 1 and self.rounding == "stochastic"
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,10 @@ def lp_mean_norm(x: np.ndarray, p: float) -> float:
     m = a.max()
     if m == 0:
         return 0.0
-    # The sum and division ``np.mean`` makes, without its Python wrapper.
+    # The sum and division ``np.mean`` makes, without its Python wrapper;
+    # at p = 1 both powers are the identity and are skipped.
+    if p == 1:
+        return float(m * (np.add.reduce(a / m) / a.size))
     return float(m * (np.add.reduce((a / m) ** p) / a.size) ** (1.0 / p))
 
 
@@ -253,16 +262,19 @@ def quantize(x: np.ndarray, spec: QuantSpec,
         # Rounding is monotone and fixes integers, so clamping first gives
         # the integers clamping the rounded values would, already in range
         # for ``dtype``; sround draws one number per element either way.
-        # M maps to qmax for p = inf, 2M for finite p.
+        # M maps to qmax for p = inf, 2M for finite p.  Plain ufuncs, not
+        # the ``np.clip``/``np.round`` wrappers: the same values without
+        # the wrappers' Python dispatch.
         scaled = np.multiply(qmax / (m if spec.norm_p == INF else 2.0 * m),
                              y, out=pooled(y.shape, np.float64))
-        np.clip(scaled, -qmax, qmax, out=scaled)
+        np.maximum(scaled, -qmax, out=scaled)
+        np.minimum(scaled, qmax, out=scaled)
         if spec.rounding == "stochastic":
             if rng is None:
                 raise ConfigError("stochastic rounding needs an rng")
             q = sround(scaled, rng, dtype)
         else:
-            q = np.round(scaled).astype(dtype)
+            q = np.rint(scaled, out=scaled).astype(dtype)
 
     if spec.no_zero:
         fix = (q == 0) & (x != 0)
@@ -346,6 +358,7 @@ def unpack(payload, count: int) -> np.ndarray:
 LANE_DTYPES = {2: np.int8, 4: np.int8, 8: np.int8, 16: np.int16, 32: np.int32}
 
 
+@functools.lru_cache(maxsize=256)
 def choose_lane_bits(workers: int, q_max: int) -> int:
     """Narrowest signed lane in {2, 4, 8, 16, 32} whose maximum holds the
     worst-case sum ``workers * q_max``."""

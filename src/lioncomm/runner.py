@@ -35,6 +35,7 @@ from .workloads import (MlpModel, NoiseSpec, init_mlp, noisy_client_grads,
 
 # ``train`` keys that are RunConfig's own; the rest are LionHyper's fields.
 LOOP_KEYS = ("steps", "batch_size", "clients")
+TRAIN_KEYS = LOOP_KEYS + tuple(f.name for f in fields(LionHyper))
 
 
 def _keys(path: str, doc, known) -> dict:
@@ -98,7 +99,7 @@ class RunConfig:
         try:
             top = _keys("", doc, ("model", "train", "quant", "algo", "sync",
                                   "noise", "seed", "metrics_every"))
-            train = top.pop("train", {})
+            train = _keys("train", top.pop("train", {}), TRAIN_KEYS)
             noise = top.pop("noise", {})
             cfg = cls(model=_build(MlpModel, "model", top.pop("model", {})),
                       hyper=_build(LionHyper, "train", {
@@ -182,6 +183,8 @@ def train_worker(topo: Topology, cfg: RunConfig) -> dict:
     rows: list[dict] = []
     phase = {"compute": [], "quantize_pack": [], "communicate": []}
     n_total = sum(v.size for v in student.values())
+    # A step's rounding generator is built only for a spec that draws.
+    draws = cfg.quant is not None and cfg.quant.draws
 
     for t in range(1, cfg.steps + 1):
         batch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, t]))
@@ -192,8 +195,8 @@ def train_worker(topo: Topology, cfg: RunConfig) -> dict:
         t1 = time.perf_counter()
 
         info: dict = {}
-        step_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 4, topo.rank, t]))
+        step_rng = np.random.default_rng(np.random.SeedSequence(
+            [cfg.seed, 4, topo.rank, t])) if draws else None
         state = distributed_lion_step(state, grads, cfg.hyper, cfg.quant, topo,
                                       cfg.algo, rng=step_rng, metrics_out=info)
         state = maybe_sync_momentum(state, cfg.sync, topo)

@@ -80,16 +80,17 @@ def teacher_student_batch(student: ParamSet, teacher: ParamSet, model: MlpModel,
     h = np.tanh(x @ w1 + b1)
     pred = h @ w2 + b2
     resid = pred - y
-    loss = float(np.mean(resid ** 2))
+    # The sum and division ``np.mean`` makes, without its Python wrapper.
+    loss = float(np.add.reduce(resid ** 2, axis=None) / resid.size)
 
     # d loss / d pred, mean over batch and output dims
     dpred = 2.0 * resid / resid.size
     dw2 = h.T @ dpred
-    db2 = dpred.sum(axis=0)
+    db2 = np.add.reduce(dpred, axis=0)
     dh = dpred @ w2.T
     dz = dh * (1.0 - h ** 2)
     dw1 = x.T @ dz
-    db1 = dz.sum(axis=0)
+    db1 = np.add.reduce(dz, axis=0)
 
     grads: ParamSet = {
         "input": np.concatenate([dw1.ravel(), db1]),

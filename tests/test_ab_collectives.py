@@ -58,3 +58,27 @@ def test_ab_harness_times_whole_steps():
     assert lines[1].split()[-2:] == ["parent_faults", "change_faults"]
     for row in rows:
         assert len(row) == 11 and all(float(row[i]) >= 0 for i in (9, 10))
+
+
+def test_ab_harness_times_toy_trainings_in_one_interpreter():
+    # --toy: both trees under two package names, whole toy trainings,
+    # scored by process CPU time per step.
+    src = os.path.join(ROOT, "src")
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_collectives.py"),
+         "--parent", src, "--change", src, "--pairs", "1", "--world", "2",
+         "--toy"],
+        capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("P=2, toy training")
+    assert lines[1].split() == ["algo", "parent_cpu_us", "parent_q1-q3",
+                                "change_cpu_us", "ratio", "wins",
+                                "parent_wall_us", "change_wall_us"]
+    rows = [line.split() for line in lines[2:-1]]
+    assert [r[0] for r in rows] == ["ps", "ps_efficient", "direct",
+                                    "compressed1bit"]
+    for row in rows:
+        assert len(row) == 8 and row[5] in ("0/1", "1/1")
+        assert all(float(row[i]) > 0 for i in (1, 3, 4, 6, 7))
+    # One tree against itself ends every block with the same parameters.
+    assert lines[-1] == "same final parameters in every block: yes"

@@ -68,6 +68,15 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfgp,
                          "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("train", [5, [1]], ids=["number", "list"])
+    def test_train_section_not_an_object_exits_2_with_world(
+            self, tmp_path, capsys, train):
+        # --world writes into ``train`` before any reader sees it.
+        cfgp = write_config(tmp_path, {**SMALL_TRAIN, "train": train})
+        assert cli.main(["train", "--config", cfgp, "--world", "2",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "train must be an object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [
         {**SMALL_TRAIN, "train": {**SMALL_TRAIN["train"], "clients": 0}},
         {**SMALL_TRAIN, "seed": -1},

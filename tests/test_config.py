@@ -44,11 +44,14 @@ def train(tmp_path, doc, name="cfg"):
     ({"train": SMALL, "quant": {"no_zero": "false"}}, "quant.no_zero"),
     ({"train": SMALL, "quant": {"log_transform": "no"}},
      "quant.log_transform"),
+    ({"train": 5}, "train"),
+    ({"train": [1]}, "train"),
 ], ids=["train.stepz", "quant.bitz", "metric_every", "sync.every",
         "sign-with-bits", "none-with-bits", "compressed1bit-bad-quant",
         "lr-bool", "weight-decay-bool", "lr-infinite",
         "weight-decay-infinite", "norm-p-bool", "levy-alpha-bool",
-        "no-zero-string", "log-transform-string"])
+        "no-zero-string", "log-transform-string", "train-number",
+        "train-list"])
 def test_unknown_key_or_mistyped_value_exits_2_naming_its_path(
         tmp_path, capsys, doc, key):
     code, out = train(tmp_path, doc)

@@ -41,6 +41,39 @@ def test_diverged_ranks_raise_collective_error(monkeypatch):
     assert err.value.rank == 1
 
 
+@pytest.mark.parametrize("algo,quant,draws", [
+    ("ps", {"kind": "lp", "bits": 8, "norm_p": "inf"}, True),
+    ("direct", {"kind": "lp", "bits": 4, "norm_p": 1.0,
+                "rounding": "stochastic"}, True),
+    ("ps", {"kind": "sign"}, False),
+    ("ps_efficient", {"kind": "none"}, False),
+    ("direct", {"kind": "lp", "bits": 8, "norm_p": 1.0}, False),
+    ("compressed1bit", {"kind": "sign"}, False),
+], ids=["linf-stochastic", "l1-stochastic", "sign", "none", "l1-nearest",
+        "compressed1bit"])
+def test_a_step_gets_a_generator_only_when_its_spec_rounds_stochastically(
+        monkeypatch, algo, quant, draws):
+    # The generator a step gets is the fresh one keyed (seed, 4, rank, t).
+    seen = []
+    real = runner.distributed_lion_step
+
+    def spy(state, grads, h, spec, topo, algo, rng=None, **kwargs):
+        seen.append((topo.rank, state.iteration + 1, rng if rng is None
+                     else rng.bit_generator.state))
+        return real(state, grads, h, spec, topo, algo, rng=rng, **kwargs)
+
+    monkeypatch.setattr(runner, "distributed_lion_step", spy)
+    runner.run_training(runner.RunConfig.from_dict(
+        {**SMALL, "algo": algo, "quant": quant, "seed": 5}))
+    assert len(seen) == 6
+    for rank, t, state in seen:
+        if draws:
+            assert state == np.random.default_rng(np.random.SeedSequence(
+                [5, 4, rank, t])).bit_generator.state
+        else:
+            assert state is None
+
+
 @pytest.mark.parametrize("lr", [0, -3e-4])
 def test_non_positive_lr_is_rejected_by_the_config(lr):
     with pytest.raises(ConfigError, match="lr"):

@@ -1,11 +1,11 @@
 """Per-collective A/B timing of two source trees of lioncomm.
 
     python tools/ab_collectives.py --parent OLD/src --change NEW/src \
-        [--n 577 1000003] [--pairs 10] [--world 4] [--bits 8] [--step]
+        [--n 577 1000003] [--pairs 10] [--world 4] [--bits 8] [--step | --toy]
 
 Each pair runs both sides, one after the other, in alternating order
-(parent first on even pairs, change first on odd ones).  Each side is a
-fresh interpreter that pins itself to one core with
+(parent first on even pairs, change first on odd ones).  Outside
+``--toy``, each side is a fresh interpreter that pins itself to one core with
 ``os.sched_setaffinity``, imports lioncomm from its source tree, and
 times the six collectives in-process at P=``--world`` (threads on one
 ``InprocTransport``): the four votes ``ps``, ``ps_efficient``, ``direct``
@@ -35,11 +35,27 @@ Rank 0's median wall time and the median minor page faults per step,
 summed over ranks
 (``getrusage(RUSAGE_THREAD).ru_minflt``, Linux), are printed next to it:
 a step that allocates fresh memory pays for the kernel zeroing its pages.
+
+``--toy`` times whole trainings instead: ``runner.train_worker`` on the
+benchmark's ``toy`` config (the default 16-32-1 MLP, 8-bit L1 votes,
+batch 64, momentum sync of ``head`` and a metrics row every 10 steps) at
+P=``--world``, 20 steps a block, per vote algorithm.  Both trees are
+loaded into this one interpreter, pinned to one core, under the package
+names ``ab_parent`` and ``ab_change``
+(``importlib.util.spec_from_file_location`` with
+``submodule_search_locations``), so the two sides share the process,
+its heap and its core, and whole-process drift moves both alike.  After
+one warm-up block per side and algorithm, each pair runs one block per
+side, alternating which side goes first, and scores it by process CPU
+time per step (``time.process_time``).  The table gives, per algorithm,
+the same columns as ``--step`` without the faults, and a last line says
+whether the two sides ended every block with the same parameters.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import resource
@@ -161,6 +177,86 @@ def step_worker(sizes: list[int], world: int, bits: int) -> dict:
     return out
 
 
+TOY_STEPS = 20
+
+
+def load_tree(src: str, name: str):
+    """lioncomm from the source tree ``src`` (its ``src/``), imported as the
+    package ``name`` with its submodules, ``runner`` included, so two trees
+    can share one interpreter."""
+    pkg = os.path.join(os.path.abspath(src), "lioncomm")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(pkg, "__init__.py"),
+        submodule_search_locations=[pkg])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.runner")
+    return module
+
+
+def toy_block(lc, algo: str, world: int,
+              block: int) -> tuple[float, float, str]:
+    """One ``TOY_STEPS``-step toy training of ``lc`` at P=``world``: process
+    CPU and wall time per step, in microseconds, and rank 0's final
+    parameter hash."""
+    cfg = lc.runner.RunConfig.from_dict({
+        "train": {"steps": TOY_STEPS, "clients": world, "batch_size": 64,
+                  "lr": 3e-4},
+        "quant": {"kind": "lp", "bits": 8, "norm_p": 1.0}, "algo": algo,
+        "sync": {"period": 10, "layers": ["head"]},
+        "noise": {"levy_alpha": 0.5, "scale": 1e-4, "per_client_seed": block},
+        "seed": 0, "metrics_every": 10})
+    c0, t0 = time.process_time(), time.perf_counter()
+    results = lc.run_ranks(world, lambda topo: lc.runner.train_worker(
+        topo, cfg))
+    cpu, wall = time.process_time() - c0, time.perf_counter() - t0
+    return (cpu / TOY_STEPS * 1e6, wall / TOY_STEPS * 1e6,
+            results[0]["final_params_hash"])
+
+
+def run_toy(args) -> tuple[dict, bool]:
+    """Alternating toy blocks of both trees in this interpreter, pinned to
+    one core; returns ``runs`` in ``compare``'s shape and whether every
+    block ended with the same parameters on both sides."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    trees = {"parent": load_tree(args.parent, "ab_parent"),
+             "change": load_tree(args.change, "ab_change")}
+    runs = {"parent": [{} for _ in range(args.pairs)],
+            "change": [{} for _ in range(args.pairs)]}
+    same = True
+    for algo in VOTES:
+        for side in runs:  # warm-up
+            toy_block(trees[side], algo, args.world, 0)
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            hashes = set()
+            for side in order:
+                cpu, wall, digest = toy_block(trees[side], algo, args.world, k)
+                runs[side][k][algo] = (cpu, wall)
+                hashes.add(digest)
+            same = same and len(hashes) == 1
+    return runs, same
+
+
+def print_toy(args, runs: dict, same: bool):
+    """The ``--toy`` table: process CPU per step, rank 0 wall per step."""
+    print(f"P={args.world}, toy training ({TOY_STEPS}-step blocks), both trees "
+          f"in one interpreter on one core, {args.pairs} pairs; "
+          f"{os.cpu_count()} cores on this host")
+    print(f"{'algo':<16}{'parent_cpu_us':>15}{'parent_q1-q3':>20}"
+          f"{'change_cpu_us':>15}{'ratio':>8}{'wins':>8}"
+          f"{'parent_wall_us':>16}{'change_wall_us':>16}")
+    for algo in VOTES:
+        q1, med_old, q3, med_new, wins = compare(runs, algo, 0, args.pairs)
+        _, wall_old, _, wall_new, _ = compare(runs, algo, 1, args.pairs)
+        print(f"{algo:<16}{med_old:>15.1f}{f'{q1:.1f}-{q3:.1f}':>20}"
+              f"{med_new:>15.1f}{med_new / med_old:>8.3f}{wins:>8}"
+              f"{wall_old:>16.1f}{wall_new:>16.1f}")
+    print(f"same final parameters in every block: {'yes' if same else 'no'}")
+
+
 def run_side(src: str, sizes: list[int], world: int, bits: int,
              step: bool) -> dict:
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", src,
@@ -240,9 +336,15 @@ def main(argv=None) -> int:
     ap.add_argument("--bits", type=int, default=8,
                     help="QuantSpec bits of the integer votes' values; 1 "
                          "votes signs (default: 8)")
-    ap.add_argument("--step", action="store_true",
-                    help="time one distributed_lion_step per vote algorithm "
-                         "by thread CPU time instead of the collectives")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--step", action="store_true",
+                      help="time one distributed_lion_step per vote "
+                           "algorithm by thread CPU time instead of the "
+                           "collectives")
+    mode.add_argument("--toy", action="store_true",
+                      help="time whole toy trainings per vote algorithm, "
+                           "both trees in one interpreter, by process CPU "
+                           "time")
     ap.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if not 1 <= args.world <= 64:
@@ -257,6 +359,9 @@ def main(argv=None) -> int:
         ap.error("--parent and --change are required")
     if args.pairs < 1 or min(args.n) < 1:
         ap.error("--pairs and every --n must be at least 1")
+    if args.toy:
+        print_toy(args, *run_toy(args))
+        return 0
 
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):

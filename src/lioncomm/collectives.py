@@ -11,6 +11,13 @@ Four ways to obtain the aggregated update at every rank:
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
   momentum synchronization, not votes): a flat sum, a binomial broadcast.
 
+Two float64 exchanges serve the metrics: ``allgather_f64`` hands every rank
+every vector, (P-1)*8*N bytes sent per rank, and ``shard_exchange`` hands
+rank r only its shard of every vector, c = ceil(N/P) values, as a (P, c)
+block: (P-1)*8*c bytes.  ``optimizer.momentum_divergence`` takes its
+statistic on the shard and allgathers one max per layer, so a metrics row
+sends (P-1)*8*(c + L) momentum bytes for L layers, not (P-1)*8*N.
+
 Both integer votes, ``ps`` and ``direct``, sum integers in [-q_max, q_max]
 in the narrowest signed lane whose maximum holds P*q_max
 (``quant.choose_lane_bits``, ``quantize``'s width rule too), so no partial
@@ -27,9 +34,10 @@ vote's combine and carried as bytes).  Every rooted phase is one
 walk of one tree (``_tree``: ``_reduce`` up, ``_broadcast`` down), every
 all-to-all and allgather phase is one loop, ``_exchange``, and input checks
 run before the first send.  ``direct`` and the 1-bit vote run one
-reduce-scatter/allgather, ``_chunked``, and differ only in the frame each
-phase sends and in how a rank combines the P copies of its chunk: a sum in
-the sum lane, or a majority sign and its tie count.  Each phase encodes
+reduce-scatter/allgather, ``_chunked`` (whose first phase, ``_scatter``,
+is ``shard_exchange`` too), and differ only in the frame each phase sends
+and in how a rank combines the P copies of its chunk: a sum in the sum
+lane, or a majority sign and its tie count.  Each phase encodes
 once and decodes once: a rank's chunks are the rows of one array, its
 peers' rows are encoded as one block and each peer is sent its slice, and
 the P-1 frames a rank receives are decoded together from their
@@ -191,15 +199,14 @@ def _cut(payload: bytes, size: int, k: int) -> list:
     return [view[i * size:(i + 1) * size] for i in range(k)]
 
 
-def _chunked(vec: np.ndarray, topo: Topology, fill, first, combine, second,
-             unit: int = 1) -> np.ndarray:
-    """Reduce-scatter, then allgather: ``vec`` is padded with ``fill`` to P
-    chunks of c values, ceil(N/P) rounded up to a multiple of ``unit``.
-    Rank j receives chunk j of every other rank, all in one block of
-    ``first(c)`` frames, and ``combine``s its own chunk with that block
-    into one row; every rank then receives each other rank's row in the
-    frame ``second(c)``.  Each phase encodes once and decodes once.
-    Returns the P rows in rank order, as one array."""
+def _scatter(vec: np.ndarray, topo: Topology, gen: int, fill, first,
+             unit: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The first phase of ``_chunked``: ``vec`` is padded with ``fill`` to P
+    chunks of c values, ceil(N/P) rounded up to a multiple of ``unit``, and
+    rank j receives chunk j of every other rank, all in one block of
+    ``first(c)`` frames, encoded once and decoded once.  Returns this rank's
+    own chunk and that (P-1, c) block, whose rows are ranks r + 1, ...,
+    P - 1, then 0, ..., r - 1."""
     p, r = topo.world_size, topo.rank
     c = -(-vec.size // (p * unit)) * unit
     # Row i is chunk (r + i) mod P: this rank's own, then the chunks of its
@@ -209,16 +216,34 @@ def _chunked(vec: np.ndarray, topo: Topology, fill, first, combine, second,
     head, tail = vec[own:], vec[:own]
     flat[:head.size] = head
     flat[(p - r) * c:][:tail.size] = tail
-    gen = topo.next_generation()
     frame = first(c)
-    # The received block is freed as soon as it is combined.
-    mine = combine(rows[0], _exchange(topo, TAG_ALLTOALL, gen, _cut(
-        frame[0](rows[1:]), frame[2], p - 1), frame))
-    frame = second(c)
+    return rows[0], _exchange(topo, TAG_ALLTOALL, gen, _cut(
+        frame[0](rows[1:]), frame[2], p - 1), frame)
+
+
+def _rank_order(own: np.ndarray, block: np.ndarray, rank: int) -> np.ndarray:
+    """This rank's row and its peers' block of rows, in ``_exchange``'s
+    order, as one (P, c) array in rank order."""
+    k = block.shape[0] - rank  # the block's rows from rank r + 1 up
+    return np.concatenate([block[k:], own[None], block[:k]])
+
+
+def _chunked(vec: np.ndarray, topo: Topology, fill, first, combine, second,
+             unit: int = 1) -> np.ndarray:
+    """Reduce-scatter, then allgather: ``_scatter``, then rank j
+    ``combine``s its own chunk of c values with the received block into
+    one row, and every rank receives each other rank's row in the frame
+    ``second(c)``.  Each phase encodes once and decodes once.  Returns the
+    P rows in rank order, as one array."""
+    p = topo.world_size
+    gen = topo.next_generation()
+    own, block = _scatter(vec, topo, gen, fill, first, unit)
+    mine = combine(own, block)
+    del block  # freed as soon as it is combined
+    frame = second(own.size)
     block = _exchange(topo, TAG_ALLGATHER, gen, [frame[0](mine)] * (p - 1),
                       frame)
-    # The block's rows are ranks r + 1, ..., P - 1, then 0, ..., r - 1.
-    return np.concatenate([block[p - 1 - r:], mine[None], block[:p - 1 - r]])
+    return _rank_order(mine, block, topo.rank)
 
 
 def _tree(rank: int, p: int, binomial: bool):
@@ -426,6 +451,17 @@ def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
     block = _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
                       [frame[0](vec)] * (p - 1), frame)
     return [vec if j == r else block[(j - r - 1) % p] for j in range(p)]
+
+
+def shard_exchange(x, topo: Topology) -> np.ndarray:
+    """Rank r's shard of every rank's vector: a (P, c) float64 block in rank
+    order, c = ceil(N/P), whose row j is rank j's x[r*c:(r+1)*c], padded
+    with zeros past N.  ``_chunked``'s first phase without the combine: a
+    rank sends P-1 frames of c float64 words, (P-1)*8*c bytes."""
+    vec = np.asarray(x, dtype=np.float64).ravel()
+    own, block = _scatter(vec, topo, topo.next_generation(), 0.0,
+                          lambda c: _frame(np.float64, c))
+    return _rank_order(own, block, topo.rank)
 
 
 def run_ranks(world_size: int, fn, transport: Transport | None = None,

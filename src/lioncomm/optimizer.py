@@ -98,11 +98,14 @@ class SyncPolicy:
 
     def __post_init__(self):
         check_int("period", self.period, 0)
-        if isinstance(self.layers, str):
-            if self.layers not in ("all", "none"):
-                raise ConfigError('layers must be "all", "none", or a set of names')
-        else:
-            object.__setattr__(self, "layers", frozenset(self.layers))
+        if self.layers in ("all", "none"):
+            return
+        # A mapping, a number or a nested list is no collection of names.
+        if not (isinstance(self.layers, (list, tuple, set, frozenset))
+                and all(isinstance(n, str) for n in self.layers)):
+            raise ConfigError(f'layers must be "all", "none", or a set of '
+                              f'names, got {self.layers!r}')
+        object.__setattr__(self, "layers", frozenset(self.layers))
 
     def fires(self, t: int) -> bool:
         return self.period > 0 and t % self.period == 0
@@ -289,12 +292,27 @@ def maybe_sync_momentum(state: WorkerState, policy: SyncPolicy,
 
 
 def momentum_divergence(state: WorkerState, topo: Topology) -> dict[str, float]:
-    """Max-over-elements population std of momentum across workers, per layer.
+    """Max-over-elements population std of momentum across workers, per
+    layer; 0.0 for a layer of no elements.
 
-    All layers share one ``allgather_f64``.
+    The layers, fused in sorted-name order, go through one
+    ``shard_exchange``: rank r takes the std of its shard, c = ceil(N/P)
+    columns, and the max of each layer's overlap with it (-inf where there
+    is none), and one ``allgather_f64`` of those L maxima gives every rank
+    the max over ranks.  numpy reduces axis 0 row by row, so each column's
+    std has the bits of a std over all P full vectors, and a NaN still
+    propagates.  A rank sends (P-1)*8*(c + L) bytes, not (P-1)*8*N.
     """
     names = sorted(state.momentum)
     moms = [state.momentum[n] for n in names]
-    std = np.stack(coll.allgather_f64(_fuse(moms), topo)).std(axis=0, ddof=0)
-    return {n: float(s.max()) if s.size else 0.0
-            for n, s in zip(names, _split(std, moms))}
+    std = coll.shard_exchange(_fuse(moms), topo).std(axis=0, ddof=0)
+    peaks = np.full(len(names), -np.inf)
+    lo = -topo.rank * std.size  # where the next layer starts in this shard
+    for i, m in enumerate(moms):
+        part = std[max(lo, 0):max(lo + m.size, 0)]
+        if part.size:
+            peaks[i] = part.max()
+        lo += m.size
+    top = np.max(coll.allgather_f64(peaks, topo), axis=0)
+    return {n: float(t) if m.size else 0.0
+            for n, m, t in zip(names, moms, top)}

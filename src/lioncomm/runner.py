@@ -82,7 +82,7 @@ class RunConfig:
         for name in LOOP_KEYS + ("metrics_every",):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
-        if self.algo not in VOTE_ALGOS:
+        if not isinstance(self.algo, str) or self.algo not in VOTE_ALGOS:
             raise ConfigError(f"unknown algo {self.algo!r}")
         if self.algo == "compressed1bit":  # it votes the signs of c, always
             self.quant = QuantSpec(bits=1)

@@ -16,7 +16,7 @@ def test_ab_harness_runs_both_sides_and_reports_every_collective():
     rows = [line.split() for line in done.stdout.splitlines()[2:]]
     assert [r[0] for r in rows] == [
         "ps", "ps_efficient", "direct", "compressed1bit",
-        "allreduce_mean_f32", "allgather_f64"]
+        "allreduce_mean_f32", "allgather_f64", "momentum_divergence"]
     for row in rows:
         assert row[1] == "3" and row[-1] in ("0/1", "1/1")
         assert float(row[2]) > 0 and float(row[4]) > 0
@@ -33,7 +33,7 @@ def test_ab_harness_times_the_wire_shape():
     lines = done.stdout.splitlines()
     assert lines[0].startswith("P=2, 1-bit values")
     rows = [line.split() for line in lines[2:]]
-    assert len(rows) == 6 and {r[1] for r in rows} == {"9"}
+    assert len(rows) == 7 and {r[1] for r in rows} == {"9"}
     assert all(float(r[2]) > 0 and float(r[4]) > 0 for r in rows)
 
 

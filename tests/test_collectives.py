@@ -8,7 +8,7 @@ from lioncomm.collectives import (LANE_DTYPES, Topology, VoteResult, _tree,
                                   choose_lane_bits,
                                   compressed_allreduce_1bit, direct_allreduce,
                                   majority_sign, ps_gather_broadcast,
-                                  run_ranks)
+                                  run_ranks, shard_exchange)
 from lioncomm.errors import (CapacityError, CollectiveError, ConfigError,
                              LionCommError)
 from lioncomm.quant import SignPolicy, apply_sign
@@ -575,6 +575,24 @@ class TestMeanAndGather:
         for r in run_vote(3, fn):
             assert len(r) == 3
             assert all(np.array_equal(r[i], vecs[i]) for i in range(3))
+
+    @pytest.mark.parametrize("world,n", [(1, 5), (2, 7), (3, 7), (4, 577),
+                                         (5, 3), (8, 4099)])
+    def test_shard_exchange(self, world, n):
+        # Rank r gets columns r*c .. (r+1)*c of every rank's vector, zero
+        # padded past N, one row per rank in rank order.
+        rng = np.random.default_rng(n)
+        vecs = [rng.normal(size=n) for _ in range(world)]
+        c = -(-n // world)
+        padded = np.zeros((world, world * c))
+        padded[:, :n] = vecs
+
+        def fn(topo):
+            return shard_exchange(vecs[topo.rank], topo)
+
+        for r, block in enumerate(run_vote(world, fn)):
+            assert block.dtype == np.float64 and block.shape == (world, c)
+            assert np.array_equal(block, padded[:, r * c:(r + 1) * c])
 
 
 class TestRobustness:

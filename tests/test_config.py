@@ -46,12 +46,17 @@ def train(tmp_path, doc, name="cfg"):
      "quant.log_transform"),
     ({"train": 5}, "train"),
     ({"train": [1]}, "train"),
+    ({"train": SMALL, "algo": ["ps"]}, "algo"),
+    ({"train": SMALL, "sync": {"layers": 5}}, "sync.layers"),
+    ({"train": SMALL, "sync": {"layers": [["head"]]}}, "sync.layers"),
+    ({"train": SMALL, "sync": {"layers": {"head": 1}}}, "sync.layers"),
 ], ids=["train.stepz", "quant.bitz", "metric_every", "sync.every",
         "sign-with-bits", "none-with-bits", "compressed1bit-bad-quant",
         "lr-bool", "weight-decay-bool", "lr-infinite",
         "weight-decay-infinite", "norm-p-bool", "levy-alpha-bool",
         "no-zero-string", "log-transform-string", "train-number",
-        "train-list"])
+        "train-list", "algo-list", "sync-layers-number",
+        "sync-layers-nested-list", "sync-layers-object"])
 def test_unknown_key_or_mistyped_value_exits_2_naming_its_path(
         tmp_path, capsys, doc, key):
     code, out = train(tmp_path, doc)

@@ -11,7 +11,8 @@ from lioncomm.optimizer import (LionHyper, SyncPolicy, WorkerState,
                                 distributed_lion_step, hash_params, lion_step,
                                 maybe_sync_momentum, momentum_divergence)
 from lioncomm.quant import BLOCK, QuantSpec
-from lioncomm.transport import InprocTransport
+from lioncomm.transport import InprocTransport, SocketTransport
+from test_frames import free_base_port
 
 
 def run_vote(world, fn):
@@ -23,8 +24,8 @@ def divergence_from_momenta(momenta):
     over elements of the population std across workers."""
     out = {}
     for name in sorted(momenta[0]):
-        stacked = np.stack([m[name] for m in momenta])
-        out[name] = float(stacked.std(axis=0, ddof=0).max())
+        std = np.stack([m[name] for m in momenta]).std(axis=0, ddof=0)
+        out[name] = float(std.max()) if std.size else 0.0
     return out
 
 
@@ -545,6 +546,73 @@ class TestDivergence:
 
         for r in run_vote(3, fn):
             assert r["w"] == pytest.approx(expect["w"])
+
+
+# Layer sizes for the sharded divergence, whose shards are ceil(N/P) wide.
+DIVERGENCE_LAYERS = {
+    # N = 13, which no P tested divides.
+    "indivisible": {"a": 7, "b": 6},
+    # N = 3 < P at P = 5 and 8: some shards hold no element of any layer.
+    "more_ranks_than_elements": {"a": 1, "b": 2},
+    # Layer boundaries inside shards, and a layer narrower than a shard.
+    "boundary_in_shard": {"a": 11, "b": 2, "c": 17},
+    "zero_size_layer": {"a": 4, "empty": 0, "z": 5},
+    "toy_mlp": {"input": 544, "head": 33},
+}
+
+
+def divergence_momenta(world, sizes, nan=False):
+    """Per-rank momenta of ``sizes``, each rank on its own scale; with
+    ``nan``, element 1 of the first non-empty layer is NaN at every rank."""
+    rng = np.random.default_rng([world, sum(sizes.values())])
+    moms = [{k: rng.laplace(size=n) * rng.uniform(0.1, 10.0)
+             for k, n in sizes.items()} for _ in range(world)]
+    if nan:
+        name = next(k for k, n in sizes.items() if n > 1)
+        for m in moms:
+            m[name][1] = np.nan
+    return moms
+
+
+def same_bits(got: dict, expect: dict) -> bool:
+    return got.keys() == expect.keys() and all(
+        np.float64(got[k]).tobytes() == np.float64(expect[k]).tobytes()
+        for k in expect)
+
+
+class TestShardedDivergence:
+    """``momentum_divergence`` takes each rank's shard of the fused momenta
+    and allgathers per-layer maxima; every rank must still return the
+    oracle's floats, bit for bit."""
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("layers", sorted(DIVERGENCE_LAYERS))
+    @pytest.mark.parametrize("world", [1, 2, 3, 5, 8])
+    def test_matches_oracle_in_process(self, world, layers, nan):
+        moms = divergence_momenta(world, DIVERGENCE_LAYERS[layers], nan)
+        expect = divergence_from_momenta(moms)
+        if nan:
+            assert any(np.isnan(v) for v in expect.values())
+
+        def fn(topo):
+            return momentum_divergence(WorkerState({}, moms[topo.rank]), topo)
+
+        for got in run_vote(world, fn):
+            assert same_bits(got, expect)
+
+    @pytest.mark.parametrize("layers", ["indivisible", "zero_size_layer",
+                                        "more_ranks_than_elements"])
+    @pytest.mark.parametrize("world", [2, 3])
+    def test_matches_oracle_over_sockets(self, world, layers):
+        moms = divergence_momenta(world, DIVERGENCE_LAYERS[layers], nan=True)
+        expect = divergence_from_momenta(moms)
+        port = free_base_port(world)
+        got = run_ranks(
+            world, lambda topo: momentum_divergence(
+                WorkerState({}, moms[topo.rank]), topo),
+            transport_factory=lambda r: SocketTransport(
+                world, r, host="127.0.0.1", base_port=port))
+        assert all(same_bits(g, expect) for g in got)
 
 
 class TestHashParams:

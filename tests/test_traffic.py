@@ -24,16 +24,24 @@ The P=5, 6 and 7 cells of ``ps``, ``ps_efficient`` and
 ``allreduce_mean_f32`` were recorded before the flat and binomial walks
 became one tree walk.  Before them, P=3 was the only world whose binomial
 tree has a subtree that P cuts short.
+
+The ``shard_exchange`` cells were added with it: each rank sends its P-1
+peers one shard each, c = ceil(N/P) float64 words, so P-1 messages and
+(P-1)*8*c bytes.  N=7 and N=4099 are divisible by none of the P tested.
+A toy training's bytes, per rank, are its collectives' bytes: the last
+test adds them up for ``runner.train_worker``.
 """
 
 import numpy as np
 import pytest
 
+from lioncomm import runner
 from lioncomm.collectives import (allgather_f64, allreduce_mean_f32,
                                   choose_lane_bits, compressed_allreduce_1bit,
                                   direct_allreduce, ps_gather_broadcast,
-                                  run_ranks)
-from lioncomm.quant import SignPolicy, apply_sign
+                                  run_ranks, shard_exchange)
+from lioncomm.optimizer import VOTE_ALGOS
+from lioncomm.quant import SignPolicy, apply_sign, vote_input
 from lioncomm.transport import InprocTransport
 
 POLICY = SignPolicy("alternating", iteration=1)
@@ -53,6 +61,7 @@ CALLS = {
     "compressed1bit": lambda x, topo: compressed_allreduce_1bit(x, topo, POLICY),
     "allreduce_mean_f32": allreduce_mean_f32,
     "allgather_f64": allgather_f64,
+    "shard_exchange": shard_exchange,
 }
 
 # (collective, P, N): (messages sent by each rank, payload bytes sent by
@@ -105,6 +114,27 @@ TRAFFIC = {
     ('allreduce_mean_f32', 6, 1000): ([3, 1, 2, 1, 2, 1], [12000, 4000, 8000, 4000, 8000, 4000]),
     ('allreduce_mean_f32', 7, 7): ([3, 1, 2, 1, 3, 1, 1], [84, 28, 56, 28, 84, 28, 28]),
     ('allreduce_mean_f32', 7, 1000): ([3, 1, 2, 1, 3, 1, 1], [12000, 4000, 8000, 4000, 12000, 4000, 4000]),
+    # One shard of ceil(N/P) float64 words to each peer.
+    ('shard_exchange', 2, 1): ([1, 1], [8, 8]),
+    ('shard_exchange', 2, 7): ([1, 1], [32, 32]),
+    ('shard_exchange', 2, 1000): ([1, 1], [4000, 4000]),
+    ('shard_exchange', 2, 4099): ([1, 1], [16400, 16400]),
+    ('shard_exchange', 3, 1): ([2, 2, 2], [16, 16, 16]),
+    ('shard_exchange', 3, 7): ([2, 2, 2], [48, 48, 48]),
+    ('shard_exchange', 3, 1000): ([2, 2, 2], [5344, 5344, 5344]),
+    ('shard_exchange', 3, 4099): ([2, 2, 2], [21872, 21872, 21872]),
+    ('shard_exchange', 4, 1): ([3, 3, 3, 3], [24, 24, 24, 24]),
+    ('shard_exchange', 4, 7): ([3, 3, 3, 3], [48, 48, 48, 48]),
+    ('shard_exchange', 4, 1000): ([3, 3, 3, 3], [6000, 6000, 6000, 6000]),
+    ('shard_exchange', 4, 4099): ([3, 3, 3, 3], [24600, 24600, 24600, 24600]),
+    ('shard_exchange', 5, 1): ([4, 4, 4, 4, 4], [32, 32, 32, 32, 32]),
+    ('shard_exchange', 5, 7): ([4, 4, 4, 4, 4], [64, 64, 64, 64, 64]),
+    ('shard_exchange', 5, 1000): ([4, 4, 4, 4, 4], [6400, 6400, 6400, 6400, 6400]),
+    ('shard_exchange', 5, 4099): ([4, 4, 4, 4, 4], [26240, 26240, 26240, 26240, 26240]),
+    ('shard_exchange', 8, 1): ([7, 7, 7, 7, 7, 7, 7, 7], [56, 56, 56, 56, 56, 56, 56, 56]),
+    ('shard_exchange', 8, 7): ([7, 7, 7, 7, 7, 7, 7, 7], [56, 56, 56, 56, 56, 56, 56, 56]),
+    ('shard_exchange', 8, 1000): ([7, 7, 7, 7, 7, 7, 7, 7], [7000, 7000, 7000, 7000, 7000, 7000, 7000, 7000]),
+    ('shard_exchange', 8, 4099): ([7, 7, 7, 7, 7, 7, 7, 7], [28728, 28728, 28728, 28728, 28728, 28728, 28728, 28728]),
 }
 
 
@@ -225,3 +255,41 @@ def test_traffic_per_rank(name, world, n):
     run_ranks(world, lambda topo: CALLS[name](xs[topo.rank], topo),
               transport=transport)
     assert (transport.msgs, transport.bytes) == TRAFFIC[(name, world, n)]
+
+
+@pytest.mark.parametrize("algo", sorted(VOTE_ALGOS))
+def test_toy_training_sends_its_collectives_bytes(algo):
+    # The benchmark's toy config: 20 steps at P=4, momentum sync of "head"
+    # and a metrics row every 10 steps.
+    world, steps = 4, 20
+    cfg = runner.RunConfig.from_dict({
+        "train": {"steps": steps, "clients": world, "batch_size": 64,
+                  "lr": 3e-4},
+        "quant": {"kind": "lp", "bits": 8, "norm_p": 1.0}, "algo": algo,
+        "sync": {"period": 10, "layers": ["head"]},
+        "noise": {"levy_alpha": 0.5, "scale": 1e-4, "per_client_seed": 5},
+        "seed": 0, "metrics_every": 10})
+    sizes = cfg.model.layer_sizes
+    n, layers, rows = sum(sizes.values()), len(sizes), steps // 10
+    transport = CountingTransport(world)
+    run_ranks(world, lambda topo: runner.train_worker(topo, cfg),
+              transport=transport)
+
+    def sent(fn):
+        counter = CountingTransport(world)
+        run_ranks(world, fn, transport=counter)
+        return np.array(counter.bytes)
+
+    rng = np.random.default_rng(0)
+    policy = SignPolicy("alternating", iteration=1)
+    c = rng.normal(size=n)
+    bucket = c if algo == "compressed1bit" else vote_input(c, cfg.quant,
+                                                           policy, rng)
+    vote = sent(lambda topo: VOTE_ALGOS[algo](bucket, topo, cfg.quant,
+                                              policy))
+    sync = sent(lambda topo: allreduce_mean_f32(np.zeros(sizes["head"]),
+                                                topo))
+    reference = sent(lambda topo: allreduce_mean_f32(c, topo))
+    divergence = (world - 1) * 8 * (-(-n // world) + layers)
+    expect = steps * vote + rows * (sync + reference + divergence)
+    assert transport.bytes == expect.tolist()

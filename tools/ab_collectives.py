@@ -14,7 +14,10 @@ and ``compressed1bit``, called through ``optimizer.VOTE_ALGOS`` with
 spec, in the narrowest lane that holds them; real vectors for the 1-bit
 vote), so both sides are called the same way whatever their
 collectives' signatures; then ``allreduce_mean_f32`` and
-``allgather_f64``.  A side's figure for a collective and N is the median
+``allgather_f64``.  A seventh row times ``momentum_divergence``, called
+through ``optimizer.momentum_divergence`` on a one-layer state whose
+momentum is the real vector, whatever collectives a side builds it on.
+A side's figure for a collective and N is the median
 over its repetitions of the thread CPU time summed over ranks
 (``time.thread_time``), which waits and hand-offs do not touch.  The
 defaults, P=4 and 8-bit values, run the 8- and 16-bit lanes;
@@ -66,7 +69,7 @@ import time
 import numpy as np
 
 COLLECTIVES = ("ps", "ps_efficient", "direct", "compressed1bit",
-               "allreduce_mean_f32", "allgather_f64")
+               "allreduce_mean_f32", "allgather_f64", "momentum_divergence")
 VOTES = COLLECTIVES[:4]
 
 
@@ -116,7 +119,8 @@ def worker(src: str, sizes: list[int], world: int, bits: int,
     sys.path.insert(0, os.path.abspath(src))
     import lioncomm
     from lioncomm import collectives as coll
-    from lioncomm.optimizer import VOTE_ALGOS
+    from lioncomm.optimizer import (VOTE_ALGOS, WorkerState,
+                                    momentum_divergence)
     from lioncomm.quant import QuantSpec, SignPolicy
 
     if not os.path.abspath(lioncomm.__file__).startswith(os.path.abspath(src)):
@@ -136,6 +140,8 @@ def worker(src: str, sizes: list[int], world: int, bits: int,
     calls["allreduce_mean_f32"] = lambda x, q, topo: coll.allreduce_mean_f32(
         x, topo)
     calls["allgather_f64"] = lambda x, q, topo: coll.allgather_f64(x, topo)
+    calls["momentum_divergence"] = lambda x, q, topo: momentum_divergence(
+        WorkerState({}, {"w": x}), topo)
     out = {}
     for n in sizes:
         rng = np.random.default_rng(n)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 
 ALGOS = ("ps_naive", "ps_efficient", "direct_allreduce", "compressed_1bit")
 
@@ -37,12 +37,13 @@ class CostParams:
     word_bits: int = 32     # b
 
     def __post_init__(self):
-        if self.workers < 2:
-            raise ConfigError("cost model needs at least 2 workers")
-        if self.params < 1 or self.word_bits < 1:
-            raise ConfigError("params and word_bits must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be non-negative")
+        check_int("workers", self.workers, 2)
+        check_int("params", self.params, 1)
+        check_int("word_bits", self.word_bits, 1)
+        for name in ("alpha", "beta"):
+            if not 0 <= check_real(name, getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite, got "
+                                  f"{getattr(self, name)}")
 
 
 def cost(algo: str, cp: CostParams) -> tuple[float, float, float]:

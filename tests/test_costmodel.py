@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lioncomm import cli
 from lioncomm.costmodel import (ALGOS, CSV_COLUMNS, CostParams, cost, sweep,
                                 write_sweep_csv)
 from lioncomm.errors import ConfigError
@@ -61,6 +62,24 @@ class TestFormulaFidelity:
             CostParams(alpha=1, beta=1, workers=1, params=1)
         with pytest.raises(ConfigError):
             CostParams(alpha=-1, beta=1, workers=2, params=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 2.5), ("params", True), ("word_bits", 8.5),
+        ("alpha", math.nan), ("alpha", math.inf), ("beta", math.nan),
+        ("beta", math.inf), ("beta", "1e-9")])
+    def test_fractional_bool_or_non_finite_field_is_named(self, field, value):
+        kw = dict(alpha=1e-6, beta=1e-9, workers=8, params=10 ** 6,
+                  word_bits=32)
+        kw[field] = value
+        with pytest.raises(ConfigError, match=field):
+            CostParams(**kw)
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"),
+                                             ("--beta", "inf")])
+    def test_cli_exits_2_on_a_non_finite_cost(self, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert cli.main(["costmodel", "--out", str(out), flag, value]) == 2
+        assert not (out / "costmodel.csv").exists()
 
 
 class TestRegimes:

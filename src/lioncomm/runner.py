@@ -172,33 +172,34 @@ def _match_flip(vs: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
 
 
 def train_worker(topo: Topology, cfg: RunConfig) -> dict:
-    """One rank's full training loop; returns rank-local rows and timings."""
-    teacher = init_mlp(cfg.model, np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, 1])))
-    student = init_mlp(cfg.model, np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, 2])))
+    """One rank's full training loop; returns rank-local rows and timings.
+    Each stream is made once per run and drawn in step order: the batch
+    stream (seed, 3) on every rank; per rank, the noise stream
+    (per_client_seed, rank) and, for a spec that draws, the rounding
+    stream (seed, 4, rank)."""
+    teacher = init_mlp(cfg.model, np.random.default_rng([cfg.seed, 1]))
+    student = init_mlp(cfg.model, np.random.default_rng([cfg.seed, 2]))
+    batch_rng = np.random.default_rng([cfg.seed, 3])
+    noise_rng = np.random.default_rng([cfg.noise.per_client_seed, topo.rank])
+    round_rng = (np.random.default_rng([cfg.seed, 4, topo.rank])
+                 if cfg.quant is not None and cfg.quant.draws else None)
     state = WorkerState.initial(student)
     layers = sorted(student)
 
     rows: list[dict] = []
     phase = {"compute": [], "quantize_pack": [], "communicate": []}
     n_total = sum(v.size for v in student.values())
-    # A step's rounding generator is built only for a spec that draws.
-    draws = cfg.quant is not None and cfg.quant.draws
 
     for t in range(1, cfg.steps + 1):
-        batch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, t]))
         t0 = time.perf_counter()
         loss, clean = teacher_student_batch(state.params, teacher, cfg.model,
                                             cfg.batch_size, batch_rng)
-        grads = noisy_client_grads(clean, cfg.noise, topo.rank, t)
+        grads = noisy_client_grads(clean, cfg.noise, noise_rng)
         t1 = time.perf_counter()
 
         info: dict = {}
-        step_rng = np.random.default_rng(np.random.SeedSequence(
-            [cfg.seed, 4, topo.rank, t])) if draws else None
         state = distributed_lion_step(state, grads, cfg.hyper, cfg.quant, topo,
-                                      cfg.algo, rng=step_rng, metrics_out=info)
+                                      cfg.algo, rng=round_rng, metrics_out=info)
         state = maybe_sync_momentum(state, cfg.sync, topo)
 
         phase["compute"].append(t1 - t0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_int, check_real
-from .optimizer import ParamSet
+from .optimizer import ParamSet, _split
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,18 @@ def sample_alpha_stable(spec: NoiseSpec, count: int,
     return spec.scale * x
 
 
-def client_noise_rng(spec: NoiseSpec, client: int, t: int) -> np.random.Generator:
-    """Stream keyed by (base seed, client, iteration): deterministic per key."""
-    return np.random.default_rng(
-        np.random.SeedSequence([spec.per_client_seed, client, t]))
-
-
-def noisy_client_grads(clean: ParamSet, spec: NoiseSpec, client: int,
-                       t: int) -> ParamSet:
-    """clean + alpha-stable noise, reproducible given (seed, client, t)."""
+def noisy_client_grads(clean: ParamSet, spec: NoiseSpec,
+                       rng: np.random.Generator) -> ParamSet:
+    """clean + alpha-stable noise drawn from ``rng``: one draw over all the
+    layers, each layer adding its slice in sorted-name order.  Zero scale
+    returns copies and draws nothing."""
     if spec.scale == 0:
         return {k: v.copy() for k, v in clean.items()}
-    rng = client_noise_rng(spec, client, t)
-    out: ParamSet = {}
-    for name in sorted(clean):
-        g = clean[name]
-        out[name] = g + sample_alpha_stable(spec, g.size, rng).reshape(g.shape)
-    return out
+    names = sorted(clean)
+    grads = [clean[n] for n in names]
+    noise = sample_alpha_stable(spec, sum(g.size for g in grads), rng)
+    return {n: g + z.reshape(g.shape)
+            for n, g, z in zip(names, grads, _split(noise, grads))}
 
 
 def synth_update_vectors(dist: str, d: int, rng: np.random.Generator,

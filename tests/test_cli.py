@@ -11,8 +11,11 @@ import pytest
 import lioncomm
 from lioncomm import cli, runner
 from lioncomm.errors import ConfigError
-from lioncomm.optimizer import WorkerState, lion_step
-from lioncomm.workloads import init_mlp, teacher_student_batch
+from lioncomm.collectives import majority_sign
+from lioncomm.optimizer import WorkerState, hash_params, lion_step
+from lioncomm.quant import SignPolicy, apply_sign
+from lioncomm.workloads import (init_mlp, noisy_client_grads,
+                                teacher_student_batch)
 from test_frames import free_base_port
 
 
@@ -194,10 +197,10 @@ class TestTrainOutputs:
         state = WorkerState.initial(init_mlp(cfg.model, np.random.default_rng(
             np.random.SeedSequence([3, 2]))))
         ref_losses = []
+        batch_rng = np.random.default_rng(np.random.SeedSequence([3, 3]))
         for t in range(1, 16):
-            rng = np.random.default_rng(np.random.SeedSequence([3, 3, t]))
             loss, grads = teacher_student_batch(state.params, teacher,
-                                                cfg.model, 16, rng)
+                                                cfg.model, 16, batch_rng)
             ref_losses.append(loss)
             state = lion_step(state, grads, cfg.hyper)
 
@@ -205,6 +208,49 @@ class TestTrainOutputs:
         final = result["state"]
         for k in final.params:
             assert np.array_equal(final.params[k], state.params[k])
+
+    @pytest.mark.parametrize("world", [1, 2, 4], ids=["P1", "P2", "P4"])
+    def test_single_process_replay_matches_training(self, world):
+        """Sign votes on ``direct`` with Levy noise and no sync, replayed
+        in one loop with no Topology or thread: one (seed, 3) batch
+        stream, per rank a (per_client_seed, rank) noise stream and its
+        own momentum, the int sum of the signs, its majority sign under
+        the alternating policy, and the descent in ``lion_step``'s order."""
+        doc = {"train": {"steps": 15, "clients": world, "batch_size": 16},
+               "quant": {"kind": "sign"}, "algo": "direct",
+               "noise": {"levy_alpha": 0.5, "scale": 1e-3}, "seed": 3,
+               "metrics_every": 1}
+        cfg = runner.RunConfig.from_dict(doc)
+        result = runner.run_training(cfg)
+
+        h = cfg.hyper
+        teacher = init_mlp(cfg.model, np.random.default_rng([3, 1]))
+        params = init_mlp(cfg.model, np.random.default_rng([3, 2]))
+        moms = [{n: np.zeros_like(p) for n, p in params.items()}
+                for _ in range(world)]
+        batch_rng = np.random.default_rng([3, 3])
+        noise_rngs = [np.random.default_rng([cfg.noise.per_client_seed, r])
+                      for r in range(world)]
+        losses = []
+        for t in range(1, 16):
+            policy = SignPolicy(mode="alternating", iteration=t)
+            loss, clean = teacher_student_batch(params, teacher, cfg.model,
+                                                16, batch_rng)
+            losses.append(loss)
+            votes = {n: [] for n in params}
+            for m, rng in zip(moms, noise_rngs):
+                g = noisy_client_grads(clean, cfg.noise, rng)
+                for n in params:
+                    c = h.beta1 * m[n] + (1.0 - h.beta1) * g[n]
+                    votes[n].append(apply_sign(c, policy))
+                    m[n] = h.beta2 * m[n] + (1.0 - h.beta2) * g[n]
+            params = {n: p - h.lr * (majority_sign(np.sum(votes[n], axis=0),
+                                                   policy)
+                                     + h.weight_decay * p)
+                      for n, p in params.items()}
+
+        assert [r["loss"] for r in result["rows"]] == losses  # bit for bit
+        assert result["final_params_hash"] == hash_params(params)
 
     def test_sync_policy_changes_only_momentum_columns(self, tmp_path):
         base = {"train": {"steps": 20, "clients": 4, "batch_size": 16},

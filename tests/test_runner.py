@@ -53,12 +53,13 @@ def test_diverged_ranks_raise_collective_error(monkeypatch):
         "compressed1bit"])
 def test_a_step_gets_a_generator_only_when_its_spec_rounds_stochastically(
         monkeypatch, algo, quant, draws):
-    # The generator a step gets is the fresh one keyed (seed, 4, rank, t).
+    # A rank's rounding stream is made once per run, keyed (seed, 4, rank),
+    # and every step of the rank draws on from that one generator.
     seen = []
     real = runner.distributed_lion_step
 
     def spy(state, grads, h, spec, topo, algo, rng=None, **kwargs):
-        seen.append((topo.rank, state.iteration + 1, rng if rng is None
+        seen.append((topo.rank, state.iteration + 1, rng, rng if rng is None
                      else rng.bit_generator.state))
         return real(state, grads, h, spec, topo, algo, rng=rng, **kwargs)
 
@@ -66,12 +67,17 @@ def test_a_step_gets_a_generator_only_when_its_spec_rounds_stochastically(
     runner.run_training(runner.RunConfig.from_dict(
         {**SMALL, "algo": algo, "quant": quant, "seed": 5}))
     assert len(seen) == 6
-    for rank, t, state in seen:
-        if draws:
-            assert state == np.random.default_rng(np.random.SeedSequence(
-                [5, 4, rank, t])).bit_generator.state
-        else:
-            assert state is None
+    for rank in (0, 1):
+        steps = [(t, rng, state) for r, t, rng, state in seen if r == rank]
+        assert [t for t, _, _ in steps] == [1, 2, 3]
+        if not draws:
+            assert all(rng is None for _, rng, _ in steps)
+            continue
+        (_, first, state1), (_, _, state2), _ = steps
+        assert all(rng is first for _, rng, _ in steps)
+        assert state1 == np.random.default_rng(np.random.SeedSequence(
+            [5, 4, rank])).bit_generator.state
+        assert state2 != state1  # step 1 drew from it
 
 
 @pytest.mark.parametrize("lr", [0, -3e-4])

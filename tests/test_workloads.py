@@ -5,10 +5,9 @@ from scipy import stats
 from lioncomm.errors import ConfigError
 from lioncomm.optimizer import LionHyper, lion_step, WorkerState
 from lioncomm.quant import lp_mean_norm, INF
-from lioncomm.workloads import (MlpModel, NoiseSpec, client_noise_rng,
-                                init_mlp, mlp_forward, noisy_client_grads,
-                                sample_alpha_stable, synth_update_vectors,
-                                teacher_student_batch)
+from lioncomm.workloads import (MlpModel, NoiseSpec, init_mlp, mlp_forward,
+                                noisy_client_grads, sample_alpha_stable,
+                                synth_update_vectors, teacher_student_batch)
 
 
 class TestAlphaStableSampler:
@@ -121,27 +120,42 @@ class TestTeacherStudent:
 
 
 class TestClientNoise:
+    # A rank's noise stream is keyed (per_client_seed, rank) once per run
+    # and advanced by each step's draw.
     def test_zero_scale_is_identity(self):
         clean = {"w": np.arange(4.0)}
         spec = NoiseSpec(levy_alpha=0.5, scale=0.0, per_client_seed=0)
-        got = noisy_client_grads(clean, spec, client=2, t=7)
+        rng = np.random.default_rng([0, 2])
+        before = rng.bit_generator.state
+        got = noisy_client_grads(clean, spec, rng)
         assert np.array_equal(got["w"], clean["w"])
+        assert got["w"] is not clean["w"]
+        assert rng.bit_generator.state == before  # nothing drawn
 
     def test_deterministic_per_key(self):
         clean = {"w": np.zeros(100)}
         spec = NoiseSpec(levy_alpha=0.5, scale=1.0, per_client_seed=5)
-        a = noisy_client_grads(clean, spec, client=1, t=3)
-        b = noisy_client_grads(clean, spec, client=1, t=3)
+        rng = np.random.default_rng([5, 1])
+        a = noisy_client_grads(clean, spec, rng)
+        b = noisy_client_grads(clean, spec, np.random.default_rng([5, 1]))
         assert np.array_equal(a["w"], b["w"])
-        c = noisy_client_grads(clean, spec, client=1, t=4)
+        c = noisy_client_grads(clean, spec, rng)  # the stream's next step
         assert not np.array_equal(a["w"], c["w"])
 
     def test_clients_are_independent(self):
         n = 100_000
         spec = NoiseSpec(levy_alpha=2.0, scale=1.0, per_client_seed=9)
-        a = sample_alpha_stable(spec, n, client_noise_rng(spec, 0, 1))
-        b = sample_alpha_stable(spec, n, client_noise_rng(spec, 1, 1))
+        a = sample_alpha_stable(spec, n, np.random.default_rng([9, 0]))
+        b = sample_alpha_stable(spec, n, np.random.default_rng([9, 1]))
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
+
+    def test_one_draw_is_split_over_the_layers_in_sorted_name_order(self):
+        clean = {"input": np.arange(6.0), "head": np.ones(4)}
+        spec = NoiseSpec(levy_alpha=0.5, scale=1e-2)
+        got = noisy_client_grads(clean, spec, np.random.default_rng([3, 0]))
+        noise = sample_alpha_stable(spec, 10, np.random.default_rng([3, 0]))
+        assert np.array_equal(got["head"], clean["head"] + noise[:4])
+        assert np.array_equal(got["input"], clean["input"] + noise[4:])
 
 
 class TestSynthUpdateVectors:

@@ -34,6 +34,16 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _out_dir(path: str) -> str:
+    """``path``, made a directory first, so an unusable ``--out`` fails
+    before any work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
+    return path
+
+
 def cmd_train(args) -> int:
     doc = _load_config(args.config) if args.config else {}
     if args.seed is not None:
@@ -43,11 +53,12 @@ def cmd_train(args) -> int:
                                        runner.TRAIN_KEYS),
                         "clients": args.world}
     cfg = runner.RunConfig.from_dict(doc)
-    out = args.out or "out"
-    runner.run_training(cfg, out_dir=out, transport=args.transport,
+    if not args.rank:  # only rank 0, or an in-process run, writes outputs
+        _out_dir(args.out)
+    runner.run_training(cfg, out_dir=args.out, transport=args.transport,
                         base_port=args.port, rank=args.rank)
     if not args.rank:
-        print(f"wrote {os.path.join(out, 'metrics.csv')} and report.json")
+        print(f"wrote {os.path.join(args.out, 'metrics.csv')} and report.json")
     return EXIT_OK
 
 
@@ -55,10 +66,8 @@ def cmd_quant_bench(args) -> int:
     doc = _load_config(args.config) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
+    path = os.path.join(_out_dir(args.out), "quant_bench.csv")
     rows = runner.run_quant_bench(doc)
-    out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "quant_bench.csv")
     runner.write_bench_csv(rows, path)
     for row in rows:
         print(f"{row['quantizer']:>12s}  match={row['sign_match_rate']:.4f}  "
@@ -68,12 +77,10 @@ def cmd_quant_bench(args) -> int:
 
 
 def cmd_costmodel(args) -> int:
+    path = os.path.join(_out_dir(args.out), "costmodel.csv")
     rows = costmodel.sweep(workers=args.workers, params=args.params,
                            alphas=args.alpha, betas=args.beta,
                            word_bits=args.word_bits)
-    out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "costmodel.csv")
     with open(path, "w", newline="") as f:
         costmodel.write_sweep_csv(rows, f)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -88,9 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Communication-efficient distributed Lion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def out(p):
+        p.add_argument("--out", default="out",
+                       help="output directory (default: %(default)s)")
+
     def common(p):
         p.add_argument("--config", help="JSON config path")
-        p.add_argument("--out", help="output directory (default: out)")
+        out(p)
         p.add_argument("--seed", type=int, default=None)
 
     p_train = sub.add_parser("train", help="run the toy training workload")
@@ -107,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bench)
 
     p_cost = sub.add_parser("costmodel", help="alpha-beta cost sweep CSV")
-    p_cost.add_argument("--out", help="output directory (default: out)")
+    out(p_cost)
     p_cost.add_argument("--workers", type=int, nargs="+", default=[2, 4, 8, 16])
     p_cost.add_argument("--params", type=int, nargs="+", default=[10 ** 6])
     p_cost.add_argument("--alpha", type=float, nargs="+",

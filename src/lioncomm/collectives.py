@@ -4,8 +4,8 @@ Four ways to obtain the aggregated update at every rank:
 
 * ``ps_gather_broadcast`` -- parameter-server style: sum up a tree rooted
   at rank 0, then broadcast down it (flat, or binomial when efficient).
-* ``direct_allreduce`` -- a pairwise reduce-scatter + allgather; the
-  exact sum comes back.
+* ``direct_allreduce`` -- reduce-scatter, then allgather; the exact sum
+  comes back.
 * ``compressed_allreduce_1bit`` -- signs only (``alternating`` policy):
   the same two phases on 1-bit chunks, with a local majority per chunk.
 * ``allreduce_mean_f32`` -- elementwise mean in 32-bit floats (used for
@@ -13,50 +13,43 @@ Four ways to obtain the aggregated update at every rank:
 
 Two float64 exchanges serve the metrics: ``allgather_f64`` hands every rank
 every vector, (P-1)*8*N bytes sent per rank, and ``shard_exchange`` hands
-rank r only its shard of every vector, c = ceil(N/P) values, as a (P, c)
-block: (P-1)*8*c bytes.  ``optimizer.momentum_divergence`` takes its
-statistic on the shard and allgathers one max per layer, so a metrics row
-sends (P-1)*8*(c + L) momentum bytes for L layers, not (P-1)*8*N.
+rank r only its shard of every vector, c = ceil(N/P) values: (P-1)*8*c
+bytes.  ``optimizer.momentum_divergence`` takes its statistic on the shard
+and allgathers one max per layer.
 
-Both integer votes, ``ps`` and ``direct``, sum integers in [-q_max, q_max]
-in the narrowest signed lane whose maximum holds P*q_max
-(``quant.choose_lane_bits``, ``quantize``'s width rule too), so no partial
-sum can overflow, and return the sum in that lane's dtype; one with no
-``q_max`` raises.  Each frame rides the narrowest lane for the sum it
-carries: ``choose_lane_bits(k, q_max)`` for the sum of k ranks' values
-(k=1 for a rank's own values, the subtree size for a tree's partial sum, P
-for a total), down to 2- and 4-bit ``quant.pack_ints`` fields; ``ps``
-sends and returns a full-precision (float) vote as float64 words.  Every
-frame is bare and built by one constructor, ``_frame``: little-endian lane
-or float words, packed fields, or ``quant.pack`` sign bits (the 1-bit
-stage-2 frame, a 4-byte tie count and then sign bits, is written by the
-vote's combine and carried as bytes).  Every rooted phase is one
-walk of one tree (``_tree``: ``_reduce`` up, ``_broadcast`` down), every
-all-to-all and allgather phase is one loop, ``_exchange``, and input checks
-run before the first send.  ``direct`` and the 1-bit vote run one
-reduce-scatter/allgather, ``_chunked`` (whose first phase, ``_scatter``,
-is ``shard_exchange`` too), and differ only in the frame each phase sends
-and in how a rank combines the P copies of its chunk: a sum in the sum
-lane, or a majority sign and its tie count.  Each phase encodes
-once and decodes once: a rank's chunks are the rows of one array, its
-peers' rows are encoded as one block and each peer is sent its slice, and
-the P-1 frames a rank receives are decoded together from their
-concatenation (``_frame`` codes a block of rows, each packed row starting
-on a byte boundary).  ``direct`` keeps chunks of ceil(N/P) values; the
-1-bit chunk is rounded up to whole bytes, 8*ceil(ceil(N/P)/8) values, so
-the allgathered voted chunks are one bit string in rank order.  That
-changes no frame's length: ceil(8*ceil(c/8)/8) = ceil(c/8) bytes for
-c = ceil(N/P), plus 4 for the stage-2 tie count.  It moves only which
-columns a rank votes on, and the clear padding bits of a chunk's last
-byte become +1 pad columns, which are never ties.
-``Topology.recv`` is the one lockstep check: a frame of the wrong
-generation, tag or byte length raises ``CollectiveError`` naming the
-sender, generation and phase, and a peer that never sends raises one after
-the timeout.  No element count is sent, so vectors of different lengths
-whose frames have the same byte length pass.  Packed lanes widen that
-gap: ``direct`` at P=4 with N=7 and N=8 (chunks of 2 in every lane), and
-at P=2 sign votes N=5 through N=8 (2-bit chunks of 3 or 4 values, one
-byte each; their 4-bit sums, two bytes each).  ``run_training``'s final
+Every collective is its phases over three primitives:
+
+* ``_scatter``, the all-to-all: rank j receives chunk j of every other
+  rank's vector;
+* ``_allgather``: every rank ends with every rank's row, in rank order;
+* the ``_tree`` walk from rank 0: ``_reduce`` sums up it, ``_broadcast``
+  hands rank 0's vector down it.
+
+``direct`` and the 1-bit vote run ``_scatter``, combine the received
+block with the rank's own chunk (a sum in the sum lane, or a majority sign
+and its tie count) and ``_allgather`` the result; ``ps`` and the mean run
+``_reduce`` then ``_broadcast``; ``allgather_f64`` is ``_allgather`` alone
+and ``shard_exchange`` ``_scatter`` alone.  A phase encodes once and decodes once:
+every frame comes from ``_frame`` (little-endian lane or float words,
+``quant.pack_ints`` fields, ``quant.pack`` sign bits), the rows a rank
+sends its peers are encoded as one block, and the frames it receives are
+decoded together.
+
+Integer votes sum integers in [-q_max, q_max] in the narrowest signed lane
+that holds P*q_max (``quant.choose_lane_bits``), so no partial sum can
+overflow, and return the sum in that lane's dtype.  Each frame rides the
+narrowest lane for the sum it carries: ``choose_lane_bits(k, q_max)`` for
+the sum of k ranks' values, down to 2- and 4-bit fields.  Input checks run
+before the first send.
+
+``Topology`` is the lockstep envelope: each public collective takes one
+new generation, after its input checks, and ``Topology.send`` and
+``Topology.recv`` stamp and check it.  A frame of the wrong generation,
+tag or byte length raises ``CollectiveError`` naming the sender,
+generation and phase, and a peer that never sends raises one after the
+timeout.  No element count is sent, so vectors of different lengths whose
+frames have the same byte length pass: ``direct`` at P=4 with N=7 and
+N=8, sign votes at P=2 with N=5 through N=8.  ``run_training``'s final
 parameter hash check still catches ranks that end up different.
 """
 
@@ -86,7 +79,8 @@ TAG_FLOAT_WORDS = 16
 
 @dataclass
 class Topology:
-    """One rank's endpoint into a P-worker world."""
+    """One rank's endpoint into a P-worker world.  Its frames carry the
+    current ``generation``, which each collective advances once."""
 
     world_size: int
     rank: int
@@ -98,26 +92,26 @@ class Topology:
         if not (0 <= self.rank < self.world_size):
             raise ConfigError(f"rank {self.rank} outside world {self.world_size}")
 
-    def next_generation(self) -> int:
+    def next_generation(self):
         self.generation += 1
-        return self.generation
 
-    def send(self, dst: int, tag: int, payload: bytes, generation: int):
-        self.transport.send(self.rank, dst, generation, tag, payload)
+    def send(self, dst: int, tag: int, payload: bytes):
+        self.transport.send(self.rank, dst, self.generation, tag, payload)
 
-    def recv(self, src: int, tag: int, generation: int, size: int) -> bytes:
+    def recv(self, src: int, tag: int, size: int) -> bytes:
         """Payload of the next frame from ``src``, which must carry this
         generation and tag and be ``size`` bytes long: the collectives run
         in lockstep."""
+        gen = self.generation
         got_gen, got_tag, payload = self.transport.recv(
-            self.rank, src, generation, tag, self.timeout)
+            self.rank, src, gen, tag, self.timeout)
         got = (got_gen, got_tag, len(payload))
-        if got != (generation, tag, size):
-            kind = "length" if got[:2] == (generation, tag) else "message"
+        if got != (gen, tag, size):
+            kind = "length" if got[:2] == (gen, tag) else "message"
             raise CollectiveError(
-                f"{kind} mismatch: expected gen={generation} tag={tag} "
+                f"{kind} mismatch: expected gen={gen} tag={tag} "
                 f"{size} bytes, got gen={got_gen} tag={got_tag} "
-                f"{len(payload)} bytes", rank=src, generation=generation,
+                f"{len(payload)} bytes", rank=src, generation=gen,
                 phase=f"tag {tag}")
         return payload
 
@@ -138,15 +132,14 @@ def _frame(kind, count: int):
     words from 8 up), little-endian words for a numpy dtype kind.
     ``encode`` takes one row of values or a block of rows and returns their
     frames back to back, ``size`` bytes each: a packed row starts on a
-    byte boundary.  ``decode(payload, rows)`` reads ``rows`` such frames
-    into a (rows, count) block, or one frame into a vector when ``rows``
-    is None.  Word frames decode to a writable array, copying only a
-    read-only payload (in-process bytes) or a foreign byte order: socket
-    payloads and joined blocks are the receiver's own.  Cached per
-    ``(kind, count)``, since a run frames the same few shapes at every
-    step; the codecs (``pack``, ``unpack`` and their ``_ints`` pair) are
-    still looked up in this module at each call, so a wrapper installed on
-    it sees every one."""
+    byte boundary.  ``decode(payload, rows=1)`` reads ``rows`` such frames
+    into a (rows, count) block.  Word frames decode to a writable array,
+    copying only a read-only payload (in-process bytes) or a foreign byte
+    order: socket payloads and joined blocks are the receiver's own.
+    Cached per ``(kind, count)``, since a run frames the same few shapes at
+    every step; the codecs (``pack``, ``unpack`` and their ``_ints`` pair)
+    are still looked up in this module at each call, so a wrapper
+    installed on it sees every one."""
     if kind in (1, 2, 4):
         per = 8 // kind  # fields per byte
         width = -(-count // per) * per  # a row's fields, padding included
@@ -157,26 +150,22 @@ def _frame(kind, count: int):
             encode = lambda a: pack_ints(a, kind)
             fields = lambda b, n: unpack_ints(b, n, kind)
 
-        def decode(b, rows=None):
-            if rows is None:
-                return fields(b, count)
+        def decode(b, rows=1):
             return fields(b, rows * width).reshape(rows, width)[:, :count]
 
         return encode, decode, width // per
     dtype = np.dtype(LANE_DTYPES.get(kind, kind))
     wire = dtype.newbyteorder("<")
 
-    def decode(b, rows=None):
-        view = np.frombuffer(b, dtype=wire)
-        if rows is not None:
-            view = view.reshape(rows, count)
+    def decode(b, rows=1):
+        view = np.frombuffer(b, dtype=wire).reshape(rows, count)
         return view.astype(dtype, copy=not view.flags.writeable)
 
     return (lambda a: np.ascontiguousarray(a, dtype=wire).tobytes(), decode,
             count * dtype.itemsize)
 
 
-def _exchange(topo: Topology, tag: int, gen: int, payloads, frame):
+def _exchange(topo: Topology, tag: int, payloads, frame) -> np.ndarray:
     """Pairwise exchange: send ``payloads[i - 1]`` to rank (r + i) mod P for
     i = 1, ..., P-1 (r this rank) and receive one ``frame`` = (encode,
     decode, size) from each of those ranks, in the same order.  Returns the
@@ -186,39 +175,9 @@ def _exchange(topo: Topology, tag: int, gen: int, payloads, frame):
     p, r = topo.world_size, topo.rank
     peers = [(r + i) % p for i in range(1, p)]
     for j, payload in zip(peers, payloads):
-        topo.send(j, tag, payload, gen)
-    got = bytearray().join([topo.recv(j, tag, gen, size) for j in peers])
+        topo.send(j, tag, payload)
+    got = bytearray().join([topo.recv(j, tag, size) for j in peers])
     return decode(got, p - 1)
-
-
-def _cut(payload: bytes, size: int, k: int) -> list:
-    """``k`` consecutive ``size``-byte views of ``payload``, not copies: each
-    peer's frame of an encoded block.  Nothing else holds the block, so it
-    is freed once the last peer has read its frame."""
-    view = memoryview(payload)
-    return [view[i * size:(i + 1) * size] for i in range(k)]
-
-
-def _scatter(vec: np.ndarray, topo: Topology, gen: int, fill, first,
-             unit: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The first phase of ``_chunked``: ``vec`` is padded with ``fill`` to P
-    chunks of c values, ceil(N/P) rounded up to a multiple of ``unit``, and
-    rank j receives chunk j of every other rank, all in one block of
-    ``first(c)`` frames, encoded once and decoded once.  Returns this rank's
-    own chunk and that (P-1, c) block, whose rows are ranks r + 1, ...,
-    P - 1, then 0, ..., r - 1."""
-    p, r = topo.world_size, topo.rank
-    c = -(-vec.size // (p * unit)) * unit
-    # Row i is chunk (r + i) mod P: this rank's own, then the chunks of its
-    # peers in ``_exchange``'s order, so theirs encode as one block.
-    rows = np.full((p, c), fill, dtype=vec.dtype)
-    flat, own = rows.reshape(-1), r * c
-    head, tail = vec[own:], vec[:own]
-    flat[:head.size] = head
-    flat[(p - r) * c:][:tail.size] = tail
-    frame = first(c)
-    return rows[0], _exchange(topo, TAG_ALLTOALL, gen, _cut(
-        frame[0](rows[1:]), frame[2], p - 1), frame)
 
 
 def _rank_order(own: np.ndarray, block: np.ndarray, rank: int) -> np.ndarray:
@@ -228,22 +187,36 @@ def _rank_order(own: np.ndarray, block: np.ndarray, rank: int) -> np.ndarray:
     return np.concatenate([block[k:], own[None], block[:k]])
 
 
-def _chunked(vec: np.ndarray, topo: Topology, fill, first, combine, second,
-             unit: int = 1) -> np.ndarray:
-    """Reduce-scatter, then allgather: ``_scatter``, then rank j
-    ``combine``s its own chunk of c values with the received block into
-    one row, and every rank receives each other rank's row in the frame
-    ``second(c)``.  Each phase encodes once and decodes once.  Returns the
-    P rows in rank order, as one array."""
-    p = topo.world_size
-    gen = topo.next_generation()
-    own, block = _scatter(vec, topo, gen, fill, first, unit)
-    mine = combine(own, block)
-    del block  # freed as soon as it is combined
-    frame = second(own.size)
-    block = _exchange(topo, TAG_ALLGATHER, gen, [frame[0](mine)] * (p - 1),
-                      frame)
-    return _rank_order(mine, block, topo.rank)
+def _scatter(vec: np.ndarray, topo: Topology, kind, fill=0,
+             unit: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The all-to-all: ``vec`` is padded with ``fill`` to P chunks of c
+    values, ceil(N/P) rounded up to a multiple of ``unit``, and rank j
+    receives chunk j of every other rank in ``_frame(kind, c)``.  Returns
+    this rank's own chunk and the (P-1, c) block it received, whose rows
+    are ranks r + 1, ..., P - 1, then 0, ..., r - 1."""
+    p, r = topo.world_size, topo.rank
+    c = -(-vec.size // (p * unit)) * unit
+    # Row i is chunk (r + i) mod P: this rank's own, then the chunks of its
+    # peers in ``_exchange``'s order, so theirs encode as one block.
+    rows = np.full((p, c), fill, dtype=vec.dtype)
+    flat, own = rows.reshape(-1), r * c
+    head, tail = vec[own:], vec[:own]
+    flat[:head.size] = head
+    flat[(p - r) * c:][:tail.size] = tail
+    encode, _, size = frame = _frame(kind, c)
+    # Each peer is sent its slice of one encoded block: a view, not a copy.
+    sent = memoryview(encode(rows[1:]))
+    return rows[0], _exchange(topo, TAG_ALLTOALL, [
+        sent[i * size:(i + 1) * size] for i in range(p - 1)], frame)
+
+
+def _allgather(row: np.ndarray, topo: Topology, frame) -> np.ndarray:
+    """Every rank's ``row`` as one (P, c) array in rank order: a rank sends
+    its row, encoded once as ``frame`` = (encode, decode, size), to every
+    other rank.  Only the P-1 received frames go through the decoder."""
+    block = _exchange(topo, TAG_ALLGATHER,
+                      [frame[0](row)] * (topo.world_size - 1), frame)
+    return _rank_order(row, block, topo.rank)
 
 
 def _tree(rank: int, p: int, binomial: bool):
@@ -262,8 +235,8 @@ def _tree(rank: int, p: int, binomial: bool):
     return (rank & (rank - 1) if rank else None), kids
 
 
-def _reduce(vec: np.ndarray, topo: Topology, gen: int, tag: int, frames,
-            dtype, binomial: bool) -> np.ndarray | None:
+def _reduce(vec: np.ndarray, topo: Topology, tag: int, frames, dtype,
+            binomial: bool) -> np.ndarray | None:
     """Sum at rank 0 of every rank's vector, up the ``_tree``: a rank adds
     its children's partial sums, in child order, to a ``dtype`` copy of its
     own vector and sends the result to its parent; a leaf sends ``vec``
@@ -274,27 +247,26 @@ def _reduce(vec: np.ndarray, topo: Topology, gen: int, tag: int, frames,
     acc = vec if parent is not None and not kids else vec.astype(dtype)
     for child, k in kids:
         _, decode, size = frames(k)
-        acc += decode(topo.recv(child, tag, gen, size))
+        acc += decode(topo.recv(child, tag, size))[0]
     if parent is None:
         return acc
     encode, _, _ = frames(1 + sum(k for _, k in kids))
-    topo.send(parent, tag, encode(acc), gen)
+    topo.send(parent, tag, encode(acc))
     return None
 
 
-def _broadcast(vec: np.ndarray | None, topo: Topology, gen: int, tag: int,
-               frame, binomial: bool) -> np.ndarray:
+def _broadcast(vec: np.ndarray | None, topo: Topology, tag: int, frame,
+               binomial: bool) -> np.ndarray:
     """``vec`` from rank 0 to every rank, down the ``_tree``: rank 0 encodes
     it once as ``frame`` = (encode, decode, size), and every other rank
     forwards the frame it received.  Children are sent to in reverse
     order: a binomial tree's largest subtree first."""
     encode, decode, size = frame
     parent, kids = _tree(topo.rank, topo.world_size, binomial)
-    payload = (encode(vec) if parent is None
-               else topo.recv(parent, tag, gen, size))
+    payload = encode(vec) if parent is None else topo.recv(parent, tag, size)
     for child, _ in reversed(kids):
-        topo.send(child, tag, payload, gen)
-    return vec if parent is None else decode(payload)
+        topo.send(child, tag, payload)
+    return vec if parent is None else decode(payload)[0]
 
 
 def _lane(q: np.ndarray, workers: int, q_max: int | None,
@@ -346,11 +318,10 @@ def ps_gather_broadcast(c_i, topo: Topology, q_max: int | None = None,
     else:
         dtype, extra = LANE_DTYPES[_lane(vec, p, q_max)], 0
         frames = lambda k: _frame(choose_lane_bits(k, q_max), vec.size)
-    gen = topo.next_generation()
-    total = _reduce(vec, topo, gen, (TAG_REDUCE if efficient else TAG_GATHER)
+    topo.next_generation()
+    total = _reduce(vec, topo, (TAG_REDUCE if efficient else TAG_GATHER)
                     + extra, frames, dtype, efficient)
-    total = _broadcast(total, topo, gen, TAG_BCAST + extra, frames(p),
-                       efficient)
+    total = _broadcast(total, topo, TAG_BCAST + extra, frames(p), efficient)
     return VoteResult(values=total, ties=int(np.count_nonzero(total == 0)))
 
 
@@ -371,16 +342,15 @@ def direct_allreduce(q_i, topo: Topology, q_max: int | None,
     q = np.asarray(q_i).ravel()
     sum_bits = _lane(q, topo.world_size, q_max, lane_bits)
     own_bits = choose_lane_bits(1, q_max)
-
-    def combine(own, block):
-        # Overflow is ruled out by the capacity check above.
-        total = np.add.reduce(block, axis=0, dtype=LANE_DTYPES[sum_bits])
-        total += own
-        return total
-
-    summed = _chunked(q.astype(LANE_DTYPES[own_bits], copy=False), topo, 0,
-                      lambda c: _frame(own_bits, c), combine,
-                      lambda c: _frame(sum_bits, c)).reshape(-1)[:q.size]
+    topo.next_generation()
+    own, block = _scatter(q.astype(LANE_DTYPES[own_bits], copy=False), topo,
+                          own_bits)
+    # Overflow is ruled out by the capacity check above.
+    total = np.add.reduce(block, axis=0, dtype=LANE_DTYPES[sum_bits])
+    del block  # freed before the allgather
+    total += own
+    summed = _allgather(total, topo, _frame(sum_bits, total.size))
+    summed = summed.reshape(-1)[:q.size]
     return VoteResult(values=summed, ties=int(np.count_nonzero(summed == 0)))
 
 
@@ -402,19 +372,18 @@ def compressed_allreduce_1bit(c_i, topo: Topology,
                           f"{policy.mode!r}: it cannot carry exact zeros")
     s = apply_sign(np.asarray(c_i, dtype=np.float64).ravel(), policy)
     sum_dtype = LANE_DTYPES[choose_lane_bits(topo.world_size, 1)]
-
-    def combine(own, block):
-        chunk_sum = np.add.reduce(block, axis=0, dtype=sum_dtype)
-        chunk_sum += own
-        ties = int(np.count_nonzero(chunk_sum == 0))
-        # The stage-2 frame: a <u4 tie count, then the voted chunk's bits.
-        return np.frombuffer(ties.to_bytes(4, "little")
-                             + pack(apply_sign(chunk_sum, policy)), np.uint8)
-
+    topo.next_generation()
     # Pad with +1: a padded column is never a tie.  Chunks are whole bytes,
     # so the P voted chunks' bits are one bit string in rank order.
-    voted = _chunked(s, topo, 1, lambda c: _frame(1, c), combine,
-                     lambda c: _frame(np.uint8, 4 + c // 8), unit=8)
+    own, block = _scatter(s, topo, 1, fill=1, unit=8)
+    chunk_sum = np.add.reduce(block, axis=0, dtype=sum_dtype)
+    del block  # freed before the allgather
+    chunk_sum += own
+    ties = int(np.count_nonzero(chunk_sum == 0))
+    # The stage-2 frame: a <u4 tie count, then the voted chunk's bits.
+    mine = np.frombuffer(ties.to_bytes(4, "little")
+                         + pack(apply_sign(chunk_sum, policy)), np.uint8)
+    voted = _allgather(mine, topo, _frame(np.uint8, mine.size))
     bits = voted[:, 4:].tobytes()
     return VoteResult(values=unpack(bits, 8 * len(bits))[:s.size],
                       ties=int(voted[:, :4].copy().view("<u4").sum()))
@@ -436,32 +405,29 @@ def allreduce_mean_f32(x, topo: Topology) -> np.ndarray:
     """
     vec = np.asarray(x, dtype=np.float32).ravel()
     frame = _frame(np.float32, vec.size)
-    gen = topo.next_generation()
-    acc = _reduce(vec, topo, gen, TAG_REDUCE, lambda k: frame, np.float64,
+    topo.next_generation()
+    acc = _reduce(vec, topo, TAG_REDUCE, lambda k: frame, np.float64,
                   binomial=False)
     mean = None if acc is None else (acc / topo.world_size).astype(np.float32)
-    return _broadcast(mean, topo, gen, TAG_BCAST, frame, binomial=True)
+    return _broadcast(mean, topo, TAG_BCAST, frame, binomial=True)
 
 
-def allgather_f64(x, topo: Topology) -> list[np.ndarray]:
-    """Every rank returns [x_0, ..., x_{P-1}] in rank order."""
+def allgather_f64(x, topo: Topology) -> np.ndarray:
+    """Every rank returns the (P, N) float64 array whose row j is rank j's
+    ``x``."""
     vec = np.asarray(x, dtype=np.float64).ravel()
-    p, r = topo.world_size, topo.rank
-    frame = _frame(np.float64, vec.size)
-    block = _exchange(topo, TAG_ALLGATHER, topo.next_generation(),
-                      [frame[0](vec)] * (p - 1), frame)
-    return [vec if j == r else block[(j - r - 1) % p] for j in range(p)]
+    topo.next_generation()
+    return _allgather(vec, topo, _frame(np.float64, vec.size))
 
 
 def shard_exchange(x, topo: Topology) -> np.ndarray:
     """Rank r's shard of every rank's vector: a (P, c) float64 block in rank
     order, c = ceil(N/P), whose row j is rank j's x[r*c:(r+1)*c], padded
-    with zeros past N.  ``_chunked``'s first phase without the combine: a
-    rank sends P-1 frames of c float64 words, (P-1)*8*c bytes."""
+    with zeros past N.  ``_scatter`` alone: a rank sends P-1 frames of c
+    float64 words, (P-1)*8*c bytes."""
     vec = np.asarray(x, dtype=np.float64).ravel()
-    own, block = _scatter(vec, topo, topo.next_generation(), 0.0,
-                          lambda c: _frame(np.float64, c))
-    return _rank_order(own, block, topo.rank)
+    topo.next_generation()
+    return _rank_order(*_scatter(vec, topo, np.float64), topo.rank)
 
 
 def run_ranks(world_size: int, fn, transport: Transport | None = None,

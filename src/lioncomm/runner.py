@@ -152,17 +152,6 @@ DEFAULT_CONFIG = RunConfig.from_dict({}).to_dict()
 
 # ------------------------------------------------------------ worker loop
 
-CSV_BASE_COLUMNS = ("step", "loss", "tie_rate", "sign_match", "flip_rate")
-
-
-def metrics_columns(layer_names: list[str]) -> list[str]:
-    return list(CSV_BASE_COLUMNS) + [f"div_{n}" for n in sorted(layer_names)]
-
-
-def _percentile(xs: list[float], q: float) -> float:
-    return float(np.percentile(np.asarray(xs), q)) if xs else 0.0
-
-
 def _match_flip(vs: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
     """Fractions of coordinates whose voted sign equals the nonzero
     reference sign (match), and that are strictly opposite (flip)."""
@@ -227,14 +216,16 @@ def train_worker(topo: Topology, cfg: RunConfig) -> dict:
 
 def build_report(cfg: RunConfig, rows: list[dict], phase: dict,
                  world_size: int, transport: str, params_hash: str) -> dict:
+    """The run's report; ``rows`` and every phase's list are never empty,
+    since a run has at least one step and its last step writes a row."""
     summary = {
-        "final_loss": rows[-1]["loss"] if rows else None,
-        "mean_tie_rate": float(np.mean([r["tie_rate"] for r in rows])) if rows else None,
-        "mean_sign_match": float(np.mean([r["sign_match"] for r in rows])) if rows else None,
-        "mean_flip_rate": float(np.mean([r["flip_rate"] for r in rows])) if rows else None,
+        "final_loss": rows[-1]["loss"],
+        "mean_tie_rate": float(np.mean([r["tie_rate"] for r in rows])),
+        "mean_sign_match": float(np.mean([r["sign_match"] for r in rows])),
+        "mean_flip_rate": float(np.mean([r["flip_rate"] for r in rows])),
         "phase_seconds": {
-            name: {"mean": float(np.mean(vals)) if vals else 0.0,
-                   "p95": _percentile(vals, 95)}
+            name: {"mean": float(np.mean(vals)),
+                   "p95": float(np.percentile(vals, 95))}
             for name, vals in phase.items()
         },
     }
@@ -250,10 +241,10 @@ def write_outputs(out_dir: str, cfg: RunConfig, result: dict,
                   world_size: int, transport: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     rows = result["rows"]
-    layer_names = sorted(result["state"].params)
-    columns = metrics_columns(layer_names)
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=columns)
+        # Every row has the first row's keys, in the order train_worker
+        # writes them.
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

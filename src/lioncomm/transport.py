@@ -7,8 +7,9 @@ collectives require.
   get run in C: at small N a vote is mostly messages, and ``queue.Queue``
   spends several Python-level lock and condition calls on each.  This is
   the default for tests.
-* ``SocketTransport`` -- a TCP mesh.  Rank i listens on base_port + i; for
-  each pair the higher rank connects and sends its rank as a 4-byte header.
+* ``SocketTransport`` -- a TCP mesh.  Rank i listens on base_port + i,
+  and every port of the block must lie in 1..65535; for each pair the
+  higher rank connects and sends its rank as a 4-byte header.
   A frame is an 8-byte generation, 4-byte source rank, 4-byte tag and
   4-byte payload length, then the payload (all little-endian).  The rank's
   own thread does all socket I/O, only inside ``send`` or ``recv``: while
@@ -93,6 +94,10 @@ class SocketTransport(Transport):
                  base_port: int = 29400, connect_timeout: float = DEFAULT_TIMEOUT):
         if not 0 <= rank < world_size:
             raise ConfigError(f"rank {rank} outside world {world_size}")
+        # Every rank checks the whole block, so all of them fail together.
+        if not 1 <= base_port <= 65536 - world_size:
+            raise ConfigError(f"ports {base_port}..{base_port + world_size - 1}"
+                              f" of {world_size} ranks must lie in 1..65535")
         self.world_size, self.rank = world_size, rank
         self._timeout = connect_timeout
         self._socks: dict[int, socket.socket] = {}

@@ -118,6 +118,29 @@ class TestExitCodes:
                         + rank_args) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("port", [65535, 70000])
+    def test_port_block_outside_range_exits_2(self, tmp_path, capsys, port):
+        # 65535 would leave rank 1 on 65536; 70000 fits no socket at all.
+        cfgp = write_config(tmp_path, SMALL_TRAIN)
+        assert cli.main(["train", "--config", cfgp, "--transport", "socket",
+                         "--world", "2", "--port", str(port),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "1..65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "quant-bench", "costmodel"])
+    def test_out_below_a_file_exits_2_before_any_work(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for fn in ("run_training", "run_quant_bench"):
+            monkeypatch.setattr(runner, fn, no_work)
+        monkeypatch.setattr(cli.costmodel, "sweep", no_work)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        assert cli.main([command, "--out", out]) == 2
+        assert out in capsys.readouterr().err
+
 
 def test_rank_processes_match_inproc(tmp_path):
     """``lioncomm train --transport socket --rank R``, one process per

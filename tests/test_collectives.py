@@ -566,15 +566,18 @@ class TestMeanAndGather:
         ulp = np.spacing(np.abs(oracle).astype(np.float32)).astype(np.float64)
         assert np.all(np.abs(got - oracle) <= 2 * ulp)
 
-    def test_allgather(self):
-        vecs = [np.array([float(i), -float(i)]) for i in range(3)]
+    @pytest.mark.parametrize("world", [1, 2, 3, 5, 8])
+    def test_allgather(self, world):
+        # A float64 (P, N) array in rank order, the same bits at every rank.
+        rng = np.random.default_rng(world)
+        vecs = [rng.normal(size=7) for _ in range(world)]
 
         def fn(topo):
             return allgather_f64(vecs[topo.rank], topo)
 
-        for r in run_vote(3, fn):
-            assert len(r) == 3
-            assert all(np.array_equal(r[i], vecs[i]) for i in range(3))
+        for got in run_vote(world, fn):
+            assert got.dtype == np.float64 and got.shape == (world, 7)
+            assert got.tobytes() == np.stack(vecs).tobytes()
 
     @pytest.mark.parametrize("world,n", [(1, 5), (2, 7), (3, 7), (4, 577),
                                          (5, 3), (8, 4099)])

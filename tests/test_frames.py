@@ -65,8 +65,9 @@ def ends(request):
 
 def test_matching_frame_is_delivered(ends):
     ends[1].send(1, 0, 5, 3, b"abc")
-    topo = Topology(world_size=2, rank=0, transport=ends[0], timeout=5)
-    assert topo.recv(1, tag=3, generation=5, size=3) == b"abc"
+    topo = Topology(world_size=2, rank=0, transport=ends[0], generation=5,
+                    timeout=5)
+    assert topo.recv(1, tag=3, size=3) == b"abc"
 
 
 @pytest.mark.parametrize("sent_gen,sent_tag,sent", [
@@ -74,9 +75,10 @@ def test_matching_frame_is_delivered(ends):
 ], ids=["4-3", "6-3", "5-2", "wrong-length"])
 def test_out_of_step_frame_names_the_source(ends, sent_gen, sent_tag, sent):
     ends[1].send(1, 0, sent_gen, sent_tag, sent)
-    topo = Topology(world_size=2, rank=0, transport=ends[0], timeout=5)
+    topo = Topology(world_size=2, rank=0, transport=ends[0], generation=5,
+                    timeout=5)
     with pytest.raises(CollectiveError, match="mismatch") as err:
-        topo.recv(1, tag=3, generation=5, size=3)
+        topo.recv(1, tag=3, size=3)
     assert (err.value.rank, err.value.generation, err.value.phase) == (
         1, 5, "tag 3")
 

@@ -226,6 +226,20 @@ def test_rank_outside_world_is_a_config_error(rank):
     assert time.monotonic() - t0 < 0.5  # rejected before any bind or dial
 
 
+@pytest.mark.parametrize("world, base_port", [
+    (2, 65535), (2, 70000), (2, 0), (3, 65534)])
+def test_port_block_outside_range_is_a_config_error(world, base_port):
+    # Every rank rejects the block, before it opens any socket.
+    fds = open_fds()
+    t0 = time.monotonic()
+    for rank in range(world):
+        with pytest.raises(ConfigError, match="1..65535"):
+            SocketTransport(world, rank, base_port=base_port,
+                            connect_timeout=0.5)
+    assert time.monotonic() - t0 < 0.5
+    assert open_fds() == fds
+
+
 @pytest.mark.parametrize("world, headers", [(2, [5]), (2, [0]), (3, [1, 1])],
                          ids=["outside_world", "not_above_acceptor", "repeated"])
 def test_bad_rank_header_is_rejected_and_closed(world, headers):

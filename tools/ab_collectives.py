@@ -49,6 +49,14 @@ microseconds, the parent's quartiles over pairs, the change/parent ratio
 of the medians, in how many pairs the change scored lower (ties count for
 neither side), the median over pairs of each side's wall time and,
 outside ``--toy``, of its faults.
+
+The side loaded second (``ab_change``) gains nothing from where it lands
+in the heap.  In four 10-pair A/A runs of ``--step`` (one tree against
+itself, P=4, 8-bit, 2-core shared host), the rows at N=1,000,003 read
+0.999-1.036 in this load order and 0.986-1.031 with the order swapped;
+a load-order gain would put the first set below 1 and the second above.
+So an A/A row at that size spreads about +-4% either way, and a change
+that moves it by less is not resolved.
 """
 
 from __future__ import annotations
